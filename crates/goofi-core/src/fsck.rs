@@ -550,14 +550,6 @@ mod tests {
     use super::*;
     use crate::vfs::RealFs;
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("goofi-fsck-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     fn seed_db() -> Database {
         let mut db = Database::new();
         dbio::init_schema(&mut db).unwrap();
@@ -582,7 +574,7 @@ mod tests {
 
     #[test]
     fn clean_database_reports_clean() {
-        let dir = temp_dir("clean-db");
+        let dir = vfs::unique_temp_dir("clean-db").unwrap();
         let path = dir.join("db.gdb");
         seed_db().save_to_path(&path).unwrap();
         let report = fsck_database(&RealFs, &path, false).unwrap();
@@ -597,7 +589,7 @@ mod tests {
 
     #[test]
     fn garbled_db_row_is_stubbed_on_repair() {
-        let dir = temp_dir("garble-db");
+        let dir = vfs::unique_temp_dir("garble-db").unwrap();
         let path = dir.join("db.gdb");
         seed_db().save_to_path(&path).unwrap();
         // Garble exp00001's row payload (keep the name field intact).
@@ -632,7 +624,7 @@ mod tests {
 
     #[test]
     fn stray_temp_and_unreadable_db_are_quarantined() {
-        let dir = temp_dir("stray-db");
+        let dir = vfs::unique_temp_dir("stray-db").unwrap();
         let path = dir.join("db.gdb");
         std::fs::write(&path, "this is no database\n").unwrap();
         std::fs::write(dir.join("db.gdb.tmp"), "half a save").unwrap();
@@ -654,7 +646,7 @@ mod tests {
 
     #[test]
     fn spool_orphan_and_mismatch_are_quarantined() {
-        let dir = temp_dir("spool");
+        let dir = vfs::unique_temp_dir("spool").unwrap();
         let spool = dir.join("db.gdb.spool");
         // job-1: no manifest at all.
         std::fs::create_dir_all(spool.join("job-1")).unwrap();

@@ -370,7 +370,12 @@ pub struct SalvageOutcome {
 ///
 /// # Errors
 ///
-/// I/O errors, surfaced as [`GoofiError::Io`].
+/// I/O errors, surfaced as [`GoofiError::Io`]. A missing file is one of
+/// them. The runner and the scheduler, which may start without a
+/// journal, check that it exists first; `goofi resume` wants the error.
+/// A journal that vanishes mid-salvage was moved by a second writer,
+/// which the one-owner journal design rules out, so it is reported
+/// rather than mistaken for a clean journal.
 pub fn salvage_with(vfs: &dyn Vfs, path: &Path) -> Result<SalvageOutcome> {
     // Lossy read: a garbled sector is rarely valid UTF-8, and salvage must
     // still be able to look at the rest of the file.

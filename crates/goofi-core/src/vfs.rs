@@ -33,7 +33,30 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Creates a fresh, empty directory under the system temp directory and
+/// returns its path. The name joins `label`, the process id and a
+/// per-process counter, so every call gets its own directory, even when
+/// concurrent tests in one process pass the same label. The caller owns
+/// the directory and removes it when done.
+///
+/// # Errors
+///
+/// I/O errors from creating the directory.
+pub fn unique_temp_dir(label: &str) -> io::Result<PathBuf> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("goofi-{label}-{}-{n}", std::process::id()));
+    // A leftover from an earlier process that had the same pid.
+    match std::fs::remove_dir_all(&dir) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir)
+}
 
 /// An open file handle obtained from a [`Vfs`].
 pub trait VfsFile: Send {

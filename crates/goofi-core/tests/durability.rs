@@ -29,7 +29,7 @@ use goofi_core::journal;
 use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::runner;
-use goofi_core::vfs::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs};
+use goofi_core::vfs::{unique_temp_dir, FaultFs, FaultKind, FaultPlan, RealFs, Vfs};
 use goofi_core::GoofiError;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -37,13 +37,6 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 const CAMPAIGN: &str = "torture";
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("goofi-durability-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn sim_campaign(name: &str, faults: usize) -> Campaign {
     Campaign::builder(name)
@@ -162,7 +155,7 @@ fn run_and_persist(
 /// filesystem operation with fault `kind`, then prove crash → fsck →
 /// resume converges to the uninterrupted run's database.
 fn crash_walk(kind: FaultKind) {
-    let dir = temp_dir(&format!("walk-{}", kind.encode()));
+    let dir = unique_temp_dir(&format!("walk-{}", kind.encode())).unwrap();
     let campaign = sim_campaign(CAMPAIGN, 5);
     let want = serial_records(&campaign);
 
@@ -240,7 +233,7 @@ fn lost_sync_crash_at_every_operation_converges() {
 /// they are transient, simply re-running the same cycle completes.
 #[test]
 fn transient_disk_errors_surface_as_io_and_retry_completes() {
-    let dir = temp_dir("transient");
+    let dir = unique_temp_dir("transient").unwrap();
     let campaign = sim_campaign(CAMPAIGN, 4);
     let want = serial_records(&campaign);
 
@@ -302,7 +295,7 @@ fn transient_disk_errors_surface_as_io_and_retry_completes() {
 /// repair pass, a second plain pass is clean.
 #[test]
 fn fsck_detects_and_repairs_every_corruption_class() {
-    let dir = temp_dir("classes");
+    let dir = unique_temp_dir("classes").unwrap();
     let campaign = sim_campaign(CAMPAIGN, 3);
 
     // Pristine fixtures to mutate per case.
@@ -433,7 +426,7 @@ fn fsck_detects_and_repairs_every_corruption_class() {
 fn recover_quarantines_damaged_spool_jobs_and_resumes_intact_ones() {
     use goofi_core::service::{JobState, Scheduler, ServiceConfig, WorkerCommand};
 
-    let dir = temp_dir("recover");
+    let dir = unique_temp_dir("recover").unwrap();
     let campaign = sim_campaign("torture-spool", 6);
     let want = serial_records(&campaign);
     let db = dir.join("campaigns.gdb");
@@ -509,7 +502,7 @@ fn recover_quarantines_damaged_spool_jobs_and_resumes_intact_ones() {
 fn fixture_journal() -> &'static str {
     static TEXT: OnceLock<String> = OnceLock::new();
     TEXT.get_or_init(|| {
-        let dir = temp_dir("prop-fixture");
+        let dir = unique_temp_dir("prop-fixture").unwrap();
         let campaign = sim_campaign(CAMPAIGN, 4);
         run_and_persist(&RealFs, &campaign, &dir.join("c.gdb"), &dir.join("c.gjl")).unwrap();
         let text = std::fs::read_to_string(dir.join("c.gjl")).unwrap();
@@ -523,7 +516,7 @@ fn fixture_journal() -> &'static str {
 /// result is either a clean journal or a quarantined (renamed) file —
 /// never an error, never a still-damaged journal.
 fn salvage_converges(case: &str, bytes: &[u8]) {
-    let dir = temp_dir(&format!("prop-{case}"));
+    let dir = unique_temp_dir(&format!("prop-{case}")).unwrap();
     let path = dir.join("t.gjl");
     std::fs::write(&path, bytes).unwrap();
     let outcome = journal::salvage_with(&RealFs, &path)
@@ -551,7 +544,7 @@ proptest! {
         let cut = cut.min(text.len());
         let scan = journal::scan_text(&text[..cut]);
         prop_assert!(scan.valid.len() <= text.lines().count());
-        salvage_converges("trunc", text[..cut].as_bytes());
+        salvage_converges("trunc", &text.as_bytes()[..cut]);
     }
 
     #[test]

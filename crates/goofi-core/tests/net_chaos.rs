@@ -26,6 +26,7 @@ use goofi_core::service::{
     Response, Scheduler, ServiceConfig, Transport, WorkerCommand,
 };
 use goofi_core::trigger::Trigger;
+use goofi_core::vfs::unique_temp_dir;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,13 +40,6 @@ const SHARDS: usize = 2;
 /// Client-side acknowledgement deadline: short, so a lost frame costs a
 /// quick retry instead of a production-sized timeout.
 const ACK_TIMEOUT: Duration = Duration::from_millis(1500);
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("goofi-netchaos-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn sim_campaign(name: &str, faults: usize) -> Campaign {
     Campaign::builder(name)
@@ -192,7 +186,7 @@ fn torture_run(
     transport_fault: NetFaultConfig,
     worker_fault: Option<NetFaultConfig>,
 ) -> u64 {
-    let dir = temp_dir(tag);
+    let dir = unique_temp_dir(tag).unwrap();
     let name = format!("net-{tag}");
     let campaign = sim_campaign(&name, FAULTS);
     let db = make_db(&dir, &campaign);
@@ -304,7 +298,7 @@ fn rate_mode_chaos_on_every_seam_still_converges() {
 /// arrives intact and the shutdown is still acknowledged.
 #[test]
 fn status_and_shutdown_ride_out_rate_chaos() {
-    let dir = temp_dir("statuschaos");
+    let dir = unique_temp_dir("statuschaos").unwrap();
     let campaign = sim_campaign("net-status", FAULTS);
     let db = make_db(&dir, &campaign);
     let want = serial_records(&campaign);
@@ -349,7 +343,7 @@ fn status_and_shutdown_ride_out_rate_chaos() {
 /// exactly once: no duplicates, no gaps, one terminal frame.
 #[test]
 fn killed_watch_client_resumes_from_last_acked_seq_without_dups_or_gaps() {
-    let dir = temp_dir("resume");
+    let dir = unique_temp_dir("resume").unwrap();
     let campaign = sim_campaign("net-resume", 12);
     let db = make_db(&dir, &campaign);
     let want = serial_records(&campaign);
@@ -442,7 +436,7 @@ fn killed_watch_client_resumes_from_last_acked_seq_without_dups_or_gaps() {
 /// fresh id does.
 #[test]
 fn duplicate_submits_with_one_request_id_yield_one_job() {
-    let dir = temp_dir("dedup");
+    let dir = unique_temp_dir("dedup").unwrap();
     let campaign = sim_campaign("net-dedup", FAULTS);
     let db = make_db(&dir, &campaign);
     let daemon = start_daemon(&RealNet, &db, None);
@@ -502,7 +496,7 @@ fn duplicate_submits_with_one_request_id_yield_one_job() {
 /// still recognises a retried submit.
 #[test]
 fn request_dedup_survives_daemon_restart() {
-    let dir = temp_dir("dedup-restart");
+    let dir = unique_temp_dir("dedup-restart").unwrap();
     let campaign = sim_campaign("net-dedup-restart", FAULTS);
     let db = make_db(&dir, &campaign);
 
@@ -529,7 +523,7 @@ fn request_dedup_survives_daemon_restart() {
 /// that skips the hello is told so.
 #[test]
 fn protocol_version_negotiation_refuses_old_and_caps_new() {
-    let dir = temp_dir("version");
+    let dir = unique_temp_dir("version").unwrap();
     let campaign = sim_campaign("net-version", 2);
     let db = make_db(&dir, &campaign);
     let daemon = start_daemon(&RealNet, &db, None);
@@ -591,7 +585,7 @@ fn protocol_version_negotiation_refuses_old_and_caps_new() {
 /// frame codec stays in sync: the next well-formed request still works.
 #[test]
 fn damaged_frames_get_typed_errors_and_the_stream_stays_in_sync() {
-    let dir = temp_dir("desync");
+    let dir = unique_temp_dir("desync").unwrap();
     let campaign = sim_campaign("net-desync", 2);
     let db = make_db(&dir, &campaign);
     let daemon = start_daemon(&RealNet, &db, None);

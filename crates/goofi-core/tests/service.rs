@@ -16,16 +16,10 @@ use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::service::{ChaosConfig, JobState, Scheduler, ServiceConfig, WorkerCommand};
 use goofi_core::trigger::Trigger;
+use goofi_core::vfs::unique_temp_dir;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("goofi-service-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn sim_campaign(name: &str, faults: usize) -> Campaign {
     Campaign::builder(name)
@@ -148,7 +142,7 @@ fn assert_essence_equal(db_path: &Path, campaign: &str, want: &[ExperimentRecord
 
 #[test]
 fn sharded_job_merges_to_serial_essence() {
-    let dir = temp_dir("happy");
+    let dir = unique_temp_dir("happy").unwrap();
     let campaign = sim_campaign("svc-happy", 12);
     let db = make_db(&dir, &campaign);
     let want = serial_records(&campaign);
@@ -173,7 +167,7 @@ fn sharded_job_merges_to_serial_essence() {
 
 #[test]
 fn chaos_killed_workers_are_reassigned_and_the_job_completes() {
-    let dir = temp_dir("chaos");
+    let dir = unique_temp_dir("chaos").unwrap();
     let campaign = sim_campaign("svc-chaos", 10);
     let db = make_db(&dir, &campaign);
     let want = serial_records(&campaign);
@@ -199,7 +193,7 @@ fn chaos_killed_workers_are_reassigned_and_the_job_completes() {
 
 #[test]
 fn killed_daemon_resumes_in_flight_jobs_from_the_spool() {
-    let dir = temp_dir("resume");
+    let dir = unique_temp_dir("resume").unwrap();
     let campaign = sim_campaign("svc-resume", 8);
     let db = make_db(&dir, &campaign);
     let want = serial_records(&campaign);
@@ -252,7 +246,7 @@ fn killed_daemon_resumes_in_flight_jobs_from_the_spool() {
 
 #[test]
 fn poison_shard_is_quarantined_with_parent_linked_rerun_stubs() {
-    let dir = temp_dir("poison");
+    let dir = unique_temp_dir("poison").unwrap();
     let campaign = sim_campaign("svc-poison", 6);
     let db = make_db(&dir, &campaign);
 
@@ -297,7 +291,7 @@ fn poison_shard_is_quarantined_with_parent_linked_rerun_stubs() {
 
 #[test]
 fn submit_rejects_unknown_campaigns_without_spooling_anything() {
-    let dir = temp_dir("reject");
+    let dir = unique_temp_dir("reject").unwrap();
     let campaign = sim_campaign("svc-known", 2);
     let db = make_db(&dir, &campaign);
     let scheduler = Scheduler::new(config(&db, 1)).unwrap();
@@ -319,7 +313,7 @@ fn serve_and_client_speak_the_wire_protocol_end_to_end() {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    let dir = temp_dir("wire");
+    let dir = unique_temp_dir("wire").unwrap();
     let campaign = sim_campaign("svc-wire", 6);
     let db = make_db(&dir, &campaign);
     let want = serial_records(&campaign);

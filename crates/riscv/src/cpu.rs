@@ -217,7 +217,21 @@ pub struct Cpu {
     entry: u32,
     initial_sp: u32,
     scratch_log: AccessLog,
+    /// Decode cache: one `(word, decode(word))` entry per code-segment
+    /// word, `None` for an illegal word. A fetch trusts an entry only if
+    /// its word equals the one just read from memory, so no write path
+    /// needs to invalidate it.
+    decoded: Vec<(u32, Option<Instr>)>,
     pub(crate) chains: crate::scan::ChainSet,
+}
+
+/// Bus activity an idle debug unit is owed by the fast path of
+/// [`Cpu::run`]: counted here and settled once through
+/// [`DebugUnit::advance`].
+#[derive(Default)]
+struct Unobserved {
+    fetches: u64,
+    cycles: u64,
 }
 
 impl Cpu {
@@ -251,6 +265,7 @@ impl Cpu {
             entry: 0,
             initial_sp,
             scratch_log: AccessLog::default(),
+            decoded: Vec::new(),
             chains: crate::scan::ChainSet::new(),
         }
     }
@@ -265,6 +280,9 @@ impl Cpu {
         self.mem.clear();
         self.mem.load_block(0, &image.words)?;
         self.mem.set_code_segment(image.code_words);
+        // `(0, None)` is a true entry: the all-zero word is illegal. Real
+        // code words replace it on their first fetch.
+        self.decoded = vec![(0, None); image.code_words as usize];
         self.entry = image.entry;
         self.reset();
         Ok(())
@@ -372,18 +390,37 @@ impl Cpu {
     }
 
     /// Runs until a stop condition, retiring at most `max_instructions`.
+    ///
+    /// Equivalent to calling [`Cpu::step`] up to `max_instructions` times.
+    /// While the debug unit is idle (no condition armed, no event latched)
+    /// nothing can observe the bus, so the steps skip reporting bus events
+    /// and settle the unit's counters once on exit.
     pub fn run(&mut self, max_instructions: u64) -> StopReason {
+        if self.debug.is_idle() {
+            self.run_steps::<false>(max_instructions)
+        } else {
+            self.run_steps::<true>(max_instructions)
+        }
+    }
+
+    fn run_steps<const DBG: bool>(&mut self, max_instructions: u64) -> StopReason {
+        let mut unobserved = Unobserved::default();
+        let mut stop = StopReason::InstrLimit;
         for _ in 0..max_instructions {
-            if let Some(stop) = self.step() {
-                return stop;
+            if let Some(s) = self.step_inner::<false, DBG>(&mut unobserved) {
+                stop = s;
+                break;
             }
         }
-        StopReason::InstrLimit
+        if !DBG {
+            self.debug.advance(unobserved.fetches, unobserved.cycles);
+        }
+        stop
     }
 
     /// Executes one instruction; `None` means execution continues.
     pub fn step(&mut self) -> Option<StopReason> {
-        self.step_inner(false)
+        self.step_inner::<false, true>(&mut Unobserved::default())
     }
 
     /// Executes one instruction and fills `log` with its architectural
@@ -391,12 +428,18 @@ impl Cpu {
     /// analysis).
     pub fn step_logged(&mut self, log: &mut AccessLog) -> Option<StopReason> {
         self.scratch_log.clear();
-        let r = self.step_inner(true);
+        let r = self.step_inner::<true, true>(&mut Unobserved::default());
         std::mem::swap(log, &mut self.scratch_log);
         r
     }
 
-    fn step_inner(&mut self, want_log: bool) -> Option<StopReason> {
+    /// The one step body. `LOG` fills the scratch access log; `DBG`
+    /// reports bus events to the debug unit, otherwise the fetch and the
+    /// cycles the unit would have counted go to `unobserved`.
+    fn step_inner<const LOG: bool, const DBG: bool>(
+        &mut self,
+        unobserved: &mut Unobserved,
+    ) -> Option<StopReason> {
         if self.halted {
             return Some(StopReason::Halted);
         }
@@ -409,10 +452,14 @@ impl Cpu {
             }
         }
         // Breakpoint check on fetch, before the instruction executes.
-        if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
-            return Some(StopReason::DebugEvent(ev));
+        if DBG {
+            if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
+                return Some(StopReason::DebugEvent(ev));
+            }
+        } else {
+            unobserved.fetches += 1;
         }
-        if want_log {
+        if LOG {
             self.scratch_log.pc = self.pc;
         }
 
@@ -430,20 +477,46 @@ impl Cpu {
         };
 
         // Decode (strict: any reserved encoding traps).
-        let instr = match decode(word) {
-            Ok(i) => i,
-            Err(_) => return Some(self.detect(Detection::IllegalInstr)),
+        let Some(instr) = self.decode_cached(word_addr, word) else {
+            return Some(self.detect(Detection::IllegalInstr));
         };
 
         // Execute.
-        let stop = self.execute(instr, want_log);
+        let (stop, cost) = self.execute::<LOG, DBG>(instr);
+        if DBG {
+            // Paths that charge no cycles (ebreak, assertions) must not
+            // give a cycle-count condition a chance to fire.
+            if cost != 0 {
+                self.debug.on_cycles(cost);
+            }
+        } else {
+            unobserved.cycles += cost;
+        }
         self.instret += 1;
         if stop.is_some() {
             return stop;
         }
         // Surface any debug event latched by a data-access/branch/call/
         // cycle trigger during execution.
-        self.debug.pending().map(StopReason::DebugEvent)
+        if DBG {
+            self.debug.pending().map(StopReason::DebugEvent)
+        } else {
+            None
+        }
+    }
+
+    /// Decodes the code word at `word_addr`, which currently holds `word`,
+    /// through the decode cache. `None` means the word is illegal.
+    fn decode_cached(&mut self, word_addr: u32, word: u32) -> Option<Instr> {
+        match self.decoded.get_mut(word_addr as usize) {
+            Some(entry) if entry.0 == word => entry.1,
+            Some(entry) => {
+                *entry = (word, decode(word).ok());
+                entry.1
+            }
+            // The code segment grew after the image was loaded.
+            None => decode(word).ok(),
+        }
     }
 
     fn detect(&mut self, d: Detection) -> StopReason {
@@ -451,18 +524,18 @@ impl Cpu {
         StopReason::Detected(d)
     }
 
-    fn log_reg_read(&mut self, want_log: bool, r: Reg) -> u32 {
-        if want_log && r != Reg::X0 {
+    fn log_reg_read<const LOG: bool>(&mut self, r: Reg) -> u32 {
+        if LOG && r != Reg::X0 {
             self.scratch_log.reg_reads.push(r);
         }
         self.regs[r.index()]
     }
 
-    fn log_reg_write(&mut self, want_log: bool, r: Reg, v: u32) {
+    fn log_reg_write<const LOG: bool>(&mut self, r: Reg, v: u32) {
         if r == Reg::X0 {
             return; // x0 is hardwired to zero
         }
-        if want_log {
+        if LOG {
             self.scratch_log.reg_writes.push(r);
         }
         self.regs[r.index()] = v;
@@ -470,11 +543,10 @@ impl Cpu {
 
     /// Loads through the data bus. Byte addresses; returns `Err(stop)` on
     /// detection.
-    fn data_load(
+    fn data_load<const LOG: bool, const DBG: bool>(
         &mut self,
         width: LoadWidth,
         addr: u32,
-        want_log: bool,
     ) -> Result<u32, StopReason> {
         let align = match width {
             LoadWidth::B | LoadWidth::Bu => 1,
@@ -489,10 +561,12 @@ impl Cpu {
             Ok(w) => w,
             Err(_) => return Err(self.detect(Detection::AccessFault)),
         };
-        if want_log {
+        if LOG {
             self.scratch_log.mem_reads.push(word_addr);
         }
-        self.debug.observe(BusEvent::DataRead { addr: word_addr });
+        if DBG {
+            self.debug.observe(BusEvent::DataRead { addr: word_addr });
+        }
         let value = match width {
             LoadWidth::W => word,
             LoadWidth::B => (word >> (8 * (addr % 4))) as u8 as i8 as i32 as u32,
@@ -505,12 +579,11 @@ impl Cpu {
 
     /// Stores through the data bus (read-modify-write for sub-word
     /// widths). Returns `Err(stop)` on detection.
-    fn data_store(
+    fn data_store<const LOG: bool, const DBG: bool>(
         &mut self,
         width: StoreWidth,
         addr: u32,
         value: u32,
-        want_log: bool,
     ) -> Result<(), StopReason> {
         let align = match width {
             StoreWidth::B => 1,
@@ -541,16 +614,18 @@ impl Cpu {
             // both surface as an access fault.
             return Err(self.detect(Detection::AccessFault));
         }
-        if want_log {
+        if LOG {
             self.scratch_log.mem_writes.push(word_addr);
         }
-        self.debug.observe(BusEvent::DataWrite { addr: word_addr });
+        if DBG {
+            self.debug.observe(BusEvent::DataWrite { addr: word_addr });
+        }
         Ok(())
     }
 
     /// Transfers control to `target` (branch/jal/jalr). Returns
     /// `Err(stop)` when the target is rejected.
-    fn jump(&mut self, target: u32, is_call: bool) -> Result<(), StopReason> {
+    fn jump<const DBG: bool>(&mut self, target: u32, is_call: bool) -> Result<(), StopReason> {
         if !target.is_multiple_of(4) {
             return Err(self.detect(Detection::Misaligned));
         }
@@ -558,16 +633,26 @@ impl Cpu {
             return Err(self.detect(Detection::ControlFlow));
         }
         self.pc = target;
-        let ev = if is_call {
-            BusEvent::Call { target }
-        } else {
-            BusEvent::Branch { target }
-        };
-        self.debug.observe(ev);
+        if DBG {
+            let ev = if is_call {
+                BusEvent::Call { target }
+            } else {
+                BusEvent::Branch { target }
+            };
+            self.debug.observe(ev);
+        }
         Ok(())
     }
 
-    fn execute(&mut self, instr: Instr, want_log: bool) -> Option<StopReason> {
+    /// Executes one decoded instruction. Returns the stop it caused, if
+    /// any, and the cycles to charge to the debug unit. Those are the
+    /// instruction's cost, also added to [`Cpu::cycles`], except that a
+    /// rejected jump or data access charges only the unit and `ebreak`
+    /// and assertions charge nothing.
+    fn execute<const LOG: bool, const DBG: bool>(
+        &mut self,
+        instr: Instr,
+    ) -> (Option<StopReason>, u64) {
         let next_pc = self.pc.wrapping_add(4);
         let mut pc_set = false;
         let mut cost = 1u64;
@@ -576,34 +661,31 @@ impl Cpu {
             ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(stop) => {
-                        self.debug.on_cycles(cost);
-                        return Some(stop);
-                    }
+                    Err(stop) => return (Some(stop), cost),
                 }
             };
         }
 
         match instr {
             Instr::Lui { rd, imm20 } => {
-                self.log_reg_write(want_log, rd, imm20 << 12);
+                self.log_reg_write::<LOG>(rd, imm20 << 12);
             }
             Instr::Auipc { rd, imm20 } => {
-                self.log_reg_write(want_log, rd, self.pc.wrapping_add(imm20 << 12));
+                self.log_reg_write::<LOG>(rd, self.pc.wrapping_add(imm20 << 12));
             }
             Instr::Jal { rd, offset } => {
                 cost += 2;
                 let target = self.pc.wrapping_add(offset as u32);
-                self.log_reg_write(want_log, rd, next_pc);
-                stop_on!(self.jump(target, rd == Reg::RA));
+                self.log_reg_write::<LOG>(rd, next_pc);
+                stop_on!(self.jump::<DBG>(target, rd == Reg::RA));
                 pc_set = true;
             }
             Instr::Jalr { rd, rs1, offset } => {
                 cost += 2;
-                let base = self.log_reg_read(want_log, rs1);
+                let base = self.log_reg_read::<LOG>(rs1);
                 let target = base.wrapping_add(offset as u32) & !1;
-                self.log_reg_write(want_log, rd, next_pc);
-                stop_on!(self.jump(target, rd == Reg::RA));
+                self.log_reg_write::<LOG>(rd, next_pc);
+                stop_on!(self.jump::<DBG>(target, rd == Reg::RA));
                 pc_set = true;
             }
             Instr::Branch {
@@ -612,8 +694,8 @@ impl Cpu {
                 rs2,
                 offset,
             } => {
-                let a = self.log_reg_read(want_log, rs1);
-                let b = self.log_reg_read(want_log, rs2);
+                let a = self.log_reg_read::<LOG>(rs1);
+                let b = self.log_reg_read::<LOG>(rs2);
                 let taken = match cond {
                     BranchCond::Eq => a == b,
                     BranchCond::Ne => a != b,
@@ -625,7 +707,7 @@ impl Cpu {
                 if taken {
                     cost += 1;
                     let target = self.pc.wrapping_add(offset as u32);
-                    stop_on!(self.jump(target, false));
+                    stop_on!(self.jump::<DBG>(target, false));
                     pc_set = true;
                 }
             }
@@ -636,10 +718,10 @@ impl Cpu {
                 offset,
             } => {
                 cost += 2;
-                let base = self.log_reg_read(want_log, rs1);
+                let base = self.log_reg_read::<LOG>(rs1);
                 let addr = base.wrapping_add(offset as u32);
-                let v = stop_on!(self.data_load(width, addr, want_log));
-                self.log_reg_write(want_log, rd, v);
+                let v = stop_on!(self.data_load::<LOG, DBG>(width, addr));
+                self.log_reg_write::<LOG>(rd, v);
             }
             Instr::Store {
                 width,
@@ -648,13 +730,13 @@ impl Cpu {
                 offset,
             } => {
                 cost += 2;
-                let base = self.log_reg_read(want_log, rs1);
+                let base = self.log_reg_read::<LOG>(rs1);
                 let addr = base.wrapping_add(offset as u32);
-                let v = self.log_reg_read(want_log, rs2);
-                stop_on!(self.data_store(width, addr, v, want_log));
+                let v = self.log_reg_read::<LOG>(rs2);
+                stop_on!(self.data_store::<LOG, DBG>(width, addr, v));
             }
             Instr::AluImm { op, rd, rs1, imm } => {
-                let a = self.log_reg_read(want_log, rs1);
+                let a = self.log_reg_read::<LOG>(rs1);
                 let simm = imm as u32;
                 let r = match op {
                     AluImmOp::Addi => a.wrapping_add(simm),
@@ -664,20 +746,20 @@ impl Cpu {
                     AluImmOp::Ori => a | simm,
                     AluImmOp::Andi => a & simm,
                 };
-                self.log_reg_write(want_log, rd, r);
+                self.log_reg_write::<LOG>(rd, r);
             }
             Instr::Shift { op, rd, rs1, shamt } => {
-                let a = self.log_reg_read(want_log, rs1);
+                let a = self.log_reg_read::<LOG>(rs1);
                 let r = match op {
                     ShiftOp::Sll => a << shamt,
                     ShiftOp::Srl => a >> shamt,
                     ShiftOp::Sra => ((a as i32) >> shamt) as u32,
                 };
-                self.log_reg_write(want_log, rd, r);
+                self.log_reg_write::<LOG>(rd, r);
             }
             Instr::Alu { op, rd, rs1, rs2 } => {
-                let a = self.log_reg_read(want_log, rs1);
-                let b = self.log_reg_read(want_log, rs2);
+                let a = self.log_reg_read::<LOG>(rs1);
+                let b = self.log_reg_read::<LOG>(rs2);
                 let r = match op {
                     AluOp::Add => a.wrapping_add(b),
                     AluOp::Sub => a.wrapping_sub(b),
@@ -690,50 +772,49 @@ impl Cpu {
                     AluOp::Or => a | b,
                     AluOp::And => a & b,
                 };
-                self.log_reg_write(want_log, rd, r);
+                self.log_reg_write::<LOG>(rd, r);
             }
             Instr::Fence => {}
             Instr::Ecall => {
-                let code = self.log_reg_read(want_log, Reg::A7);
+                let code = self.log_reg_read::<LOG>(Reg::A7);
                 match code {
                     ECALL_HALT => {
                         self.halted = true;
                         self.cycles += cost;
-                        self.debug.on_cycles(cost);
-                        return Some(StopReason::Halted);
+                        return (Some(StopReason::Halted), cost);
                     }
                     ECALL_SYNC => {
-                        let tag = self.log_reg_read(want_log, Reg::A0) as u16;
+                        let tag = self.log_reg_read::<LOG>(Reg::A0) as u16;
                         self.iterations += 1;
                         self.pc = next_pc;
                         self.cycles += cost;
-                        self.debug.on_cycles(cost);
-                        return Some(StopReason::Sync {
+                        let stop = StopReason::Sync {
                             tag,
                             iteration: self.iterations,
-                        });
+                        };
+                        return (Some(stop), cost);
                     }
                     ECALL_IN => {
-                        let port = self.log_reg_read(want_log, Reg::A0) as usize % PORT_COUNT;
+                        let port = self.log_reg_read::<LOG>(Reg::A0) as usize % PORT_COUNT;
                         let v = self.in_ports[port];
-                        self.log_reg_write(want_log, Reg::A0, v);
+                        self.log_reg_write::<LOG>(Reg::A0, v);
                     }
                     ECALL_OUT => {
-                        let port = self.log_reg_read(want_log, Reg::A0) as usize % PORT_COUNT;
-                        let v = self.log_reg_read(want_log, Reg::A1);
+                        let port = self.log_reg_read::<LOG>(Reg::A0) as usize % PORT_COUNT;
+                        let v = self.log_reg_read::<LOG>(Reg::A1);
                         self.out_ports[port] = v;
                     }
                     ECALL_ASSERT => {
-                        let id = self.log_reg_read(want_log, Reg::A0) as u16;
-                        return Some(self.detect(Detection::Assertion(id)));
+                        let id = self.log_reg_read::<LOG>(Reg::A0) as u16;
+                        return (Some(self.detect(Detection::Assertion(id))), 0);
                     }
                     unknown => {
-                        return Some(self.detect(Detection::Assertion(unknown as u16)));
+                        return (Some(self.detect(Detection::Assertion(unknown as u16))), 0);
                     }
                 }
             }
             Instr::Ebreak => {
-                return Some(self.detect(Detection::Ebreak));
+                return (Some(self.detect(Detection::Ebreak)), 0);
             }
         }
 
@@ -741,8 +822,7 @@ impl Cpu {
             self.pc = next_pc;
         }
         self.cycles += cost;
-        self.debug.on_cycles(cost);
-        None
+        (None, cost)
     }
 }
 
@@ -1156,6 +1236,172 @@ mod tests {
         assert_eq!(cpu1.regs, cpu2.regs);
         assert_eq!(cpu1.cycles(), cpu2.cycles());
         assert_eq!(cpu1.instructions(), cpu2.instructions());
+    }
+
+    /// Steps until a stop, the way `run` would report it.
+    fn step_until_stop(cpu: &mut Cpu, max: u64) -> StopReason {
+        (0..max)
+            .find_map(|_| cpu.step())
+            .unwrap_or(StopReason::InstrLimit)
+    }
+
+    #[test]
+    fn counters_are_exact_on_every_exit() {
+        let store_to_code = encode(Instr::Store {
+            width: StoreWidth::W,
+            rs1: Reg::X0,
+            rs2: Reg::new(5),
+            offset: 0,
+        });
+        // (program, stop, instret, cycles, debug instructions, debug cycles)
+        let cases = [
+            // A rejected store charges its cost to the debug unit only.
+            (
+                vec![addi(5, 0, 1), store_to_code],
+                StopReason::Detected(Detection::AccessFault),
+                2,
+                1,
+                2,
+                4,
+            ),
+            // `ebreak` retires but charges no cycles.
+            (
+                vec![addi(5, 0, 1), encode(Instr::Ebreak)],
+                StopReason::Detected(Detection::Ebreak),
+                2,
+                1,
+                2,
+                1,
+            ),
+            // A fetch fault is observed as a fetch, then charges nothing.
+            (
+                vec![addi(5, 0, 1)],
+                StopReason::Detected(Detection::ControlFlow),
+                1,
+                1,
+                2,
+                1,
+            ),
+            (halting(vec![addi(5, 0, 1)]), StopReason::Halted, 3, 3, 3, 3),
+        ];
+        for (words, stop, instret, cycles, dbg_instr, dbg_cycles) in cases {
+            let mut stepped = Cpu::new(CpuConfig::default());
+            stepped.load_image(&image(words.clone())).unwrap();
+            let mut ran = stepped.clone();
+            assert_eq!(step_until_stop(&mut stepped, 100), stop);
+            assert_eq!(ran.run(100), stop);
+            for cpu in [&stepped, &ran] {
+                let got = (
+                    cpu.instructions(),
+                    cpu.cycles(),
+                    cpu.debug_unit().instruction_count(),
+                    cpu.debug_unit().cycle_count(),
+                );
+                assert_eq!(got, (instret, cycles, dbg_instr, dbg_cycles), "{stop:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_cost_exit_does_not_refire_a_cleared_cycle_condition() {
+        use scanchain::DebugCondition;
+        let words = vec![addi(5, 0, 1), encode(Instr::Ebreak)];
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.load_image(&image(words)).unwrap();
+        cpu.debug_unit_mut().arm(DebugCondition::CycleCount(1));
+        assert!(matches!(cpu.run(10), StopReason::DebugEvent(_)));
+        // Unlatched but still armed, and already satisfied: only a step
+        // that charges cycles may fire it again.
+        cpu.debug_unit_mut().clear();
+        assert_eq!(cpu.run(10), StopReason::Detected(Detection::Ebreak));
+        assert_eq!(cpu.debug_unit().pending(), None);
+    }
+
+    /// `addi x5, x0, 1; addi x6, x0, 2; halt`, run once to warm the
+    /// decode cache.
+    fn warm_core() -> Cpu {
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.load_image(&image(halting(vec![addi(5, 0, 1), addi(6, 0, 2)])))
+            .unwrap();
+        assert_eq!(cpu.run(100), StopReason::Halted);
+        cpu.reset();
+        cpu
+    }
+
+    #[test]
+    fn decode_cache_sees_a_flipped_code_word() {
+        let mut cpu = warm_core();
+        // Bit 0 of the opcode: OP-IMM (0010011) becomes reserved.
+        cpu.memory_mut().flip_bit(1, 0).unwrap();
+        assert_eq!(cpu.run(100), StopReason::Detected(Detection::IllegalInstr));
+        assert_eq!(cpu.pc(), 4);
+        assert_eq!(cpu.reg(Reg::new(5)), 1);
+    }
+
+    #[test]
+    fn decode_cache_follows_a_restored_snapshot() {
+        let mut cpu = warm_core();
+        let snapshot = cpu.clone();
+        cpu.memory_mut().flip_bit(1, 0).unwrap();
+        assert_eq!(cpu.run(100), StopReason::Detected(Detection::IllegalInstr));
+
+        let mut restored = snapshot.clone();
+        assert_eq!(restored.run(100), StopReason::Halted);
+        assert_eq!(restored.reg(Reg::new(6)), 2);
+
+        // Restoring only memory leaves the flipped decode cached.
+        *cpu.memory_mut() = snapshot.memory().clone();
+        cpu.reset();
+        assert_eq!(cpu.run(100), StopReason::Halted);
+        assert_eq!(cpu.reg(Reg::new(6)), 2);
+    }
+
+    #[test]
+    fn decode_cache_runs_code_stored_with_protection_off() {
+        const DATA: u32 = 8;
+        let words = vec![
+            addi(6, 6, 1), // 0: overwritten with the data word on pass 2
+            encode(Instr::Branch {
+                cond: BranchCond::Ne,
+                rs1: Reg::new(7),
+                rs2: Reg::X0,
+                offset: 20, // -> 6: halt on pass 2
+            }),
+            addi(7, 0, 1),
+            encode(Instr::Load {
+                width: LoadWidth::W,
+                rd: Reg::new(5),
+                rs1: Reg::X0,
+                offset: DATA as i32 * 4,
+            }),
+            encode(Instr::Store {
+                width: StoreWidth::W,
+                rs1: Reg::X0,
+                rs2: Reg::new(5),
+                offset: 0,
+            }),
+            encode(Instr::Jal {
+                rd: Reg::X0,
+                offset: -20, // -> 0
+            }),
+            addi(17, 0, ECALL_HALT as i32),
+            encode(Instr::Ecall),
+            addi(6, 6, 100), // DATA
+        ];
+        let program = Image {
+            words,
+            code_words: DATA,
+            entry: 0,
+        };
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.load_image(&program).unwrap();
+        assert_eq!(cpu.run(100), StopReason::Detected(Detection::AccessFault));
+        assert_eq!(cpu.reg(Reg::new(6)), 1);
+
+        cpu.load_image(&program).unwrap();
+        cpu.memory_mut().set_protection(false);
+        assert_eq!(cpu.run(100), StopReason::Halted);
+        assert_eq!(cpu.reg(Reg::new(6)), 101, "the stored instruction ran");
     }
 
     #[test]

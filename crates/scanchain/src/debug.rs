@@ -151,6 +151,24 @@ impl DebugUnit {
         self.cycles
     }
 
+    /// Whether nothing can observe bus activity: no condition is armed and
+    /// no event is latched. While the unit is idle, [`DebugUnit::observe`]
+    /// only counts fetches and [`DebugUnit::on_cycles`] only counts cycles,
+    /// so a core may skip reporting events and settle the counters in bulk
+    /// through [`DebugUnit::advance`].
+    pub fn is_idle(&self) -> bool {
+        self.conditions.is_empty() && self.pending.is_none()
+    }
+
+    /// Advances both counters at once: the same effect on an idle unit as
+    /// `instructions` `Fetch` observations plus `on_cycles` calls summing
+    /// to `cycles`.
+    pub fn advance(&mut self, instructions: u64, cycles: u64) {
+        debug_assert!(self.is_idle(), "advance on a unit that can fire");
+        self.instructions += instructions;
+        self.cycles += cycles;
+    }
+
     /// Advances the cycle counter; fires any armed cycle-count condition.
     pub fn on_cycles(&mut self, cycles: u64) {
         self.cycles += cycles;
@@ -178,10 +196,11 @@ impl DebugUnit {
     /// after `n` complete instructions — the semantics the SCIFI algorithm
     /// needs to inject "after N instructions").
     pub fn observe(&mut self, event: BusEvent) -> Option<DebugEvent> {
+        // A latched event means the core is halting: nothing fires and
+        // nothing is counted. With no condition armed (an idle unit) the
+        // only effect below is the fetch count, which is what lets
+        // `advance` stand in for a run of observations.
         if self.pending.is_some() {
-            if let BusEvent::Fetch { .. } = event {
-                // Core is halting; don't double-count.
-            }
             return None;
         }
         let fired = self.conditions.iter().copied().find(|&c| match (c, event) {
@@ -403,6 +422,31 @@ mod tests {
         assert_eq!(layout.cell("HIT").unwrap().access, CellAccess::ReadOnly);
         // The breakpoint fires on fetch, before the instruction completes.
         assert_eq!(layout.read_cell(&image, "ICOUNT").unwrap(), 0);
+    }
+
+    #[test]
+    fn advance_matches_observing_an_idle_unit() {
+        let mut observed = DebugUnit::new();
+        assert!(observed.is_idle());
+        for pc in [0u32, 4, 8] {
+            assert!(observed.observe(BusEvent::Fetch { pc }).is_none());
+            assert!(observed.observe(BusEvent::DataWrite { addr: pc }).is_none());
+            observed.on_cycles(3);
+        }
+        let mut advanced = DebugUnit::new();
+        advanced.advance(3, 9);
+        assert_eq!(advanced.instruction_count(), observed.instruction_count());
+        assert_eq!(advanced.cycle_count(), observed.cycle_count());
+        assert!(observed.is_idle());
+
+        // An armed condition or a latched event makes the unit observable.
+        advanced.arm(DebugCondition::PcEquals(0));
+        assert!(!advanced.is_idle());
+        advanced.observe(BusEvent::Fetch { pc: 0 }).unwrap();
+        advanced.conditions.clear();
+        assert!(!advanced.is_idle(), "a latched event is not idle");
+        advanced.clear();
+        assert!(advanced.is_idle());
     }
 
     #[test]
