@@ -93,7 +93,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     group.sample_size(10);
     let campaign = scifi_campaign(n);
     for workers in [1usize, 2, 4, 8] {
-        group.bench_function(format!("workers_{workers}"), |b| {
+        group.bench_function(&format!("workers_{workers}"), |b| {
             b.iter(|| {
                 runner::run_campaign_parallel(
                     ThorTarget::default,
@@ -267,7 +267,7 @@ fn bench_supervision_overhead(c: &mut Criterion) {
         ("probe_every_1", 1),
     ] {
         let mut campaign = base.clone();
-        campaign.policy = campaign.policy.clone().with_health_check(cadence);
+        campaign.policy = campaign.policy.with_health_check(cadence);
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut target = ThorTarget::default();
@@ -284,6 +284,9 @@ fn bench_supervision_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// A labelled way to build the telemetry a B9 campaign runs under.
+type TelemetryCase = (&'static str, fn() -> Telemetry);
+
 fn bench_telemetry_overhead(c: &mut Criterion) {
     // B9: cost of the observability layer on the standard SCIFI campaign.
     // Disabled telemetry is the tax every campaign pays (one `Option`
@@ -296,7 +299,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.sample_size(10);
     let campaign = scifi_campaign(n);
 
-    let cases: [(&str, fn() -> Telemetry); 3] = [
+    let cases: [TelemetryCase; 3] = [
         ("telemetry_disabled", Telemetry::disabled),
         ("metrics_only", Telemetry::enabled),
         ("metrics_and_ring_trace", || {

@@ -48,15 +48,7 @@ pub fn init_analysis_table(db: &mut Database) -> Result<()> {
 /// Fails when the campaign has no logged reference run or on database
 /// errors.
 pub fn analyse_campaign(db: &mut Database, campaign: &str) -> Result<Vec<ClassifiedExperiment>> {
-    let records = dbio::load_experiments(db, campaign)?;
-    let reference = records
-        .iter()
-        .find(|r| r.is_reference())
-        .cloned()
-        .ok_or_else(|| {
-            GoofiError::Config(format!("campaign `{campaign}` has no logged reference run"))
-        })?;
-    let classified = classify_campaign(&reference, &records);
+    let classified = classify_stored(db, campaign)?;
     init_analysis_table(db)?;
     // Re-analysis replaces previous results for the campaign.
     let _ = db.delete_where(ANALYSIS_TABLE, |row| row[1].as_text() == Some(campaign))?;
@@ -83,17 +75,20 @@ pub fn analyse_campaign(db: &mut Database, campaign: &str) -> Result<Vec<Classif
 ///
 /// Same conditions as [`analyse_campaign`].
 pub fn campaign_stats(db: &Database, campaign: &str) -> Result<CampaignStats> {
-    let records = dbio::load_experiments(db, campaign)?;
-    let reference = records
-        .iter()
-        .find(|r| r.is_reference())
-        .cloned()
-        .ok_or_else(|| {
-            GoofiError::Config(format!("campaign `{campaign}` has no logged reference run"))
-        })?;
-    Ok(CampaignStats::from_classified(&classify_campaign(
-        &reference, &records,
-    )))
+    Ok(CampaignStats::from_classified(&classify_stored(
+        db, campaign,
+    )?))
+}
+
+/// Classifies a campaign's stored experiments against its stored
+/// reference run. Classification compares end states only, so the
+/// detail-mode traces are never decoded.
+fn classify_stored(db: &Database, campaign: &str) -> Result<Vec<ClassifiedExperiment>> {
+    let records = dbio::load_experiments_untraced(db, campaign)?;
+    let reference = records.iter().find(|r| r.is_reference()).ok_or_else(|| {
+        GoofiError::Config(format!("campaign `{campaign}` has no logged reference run"))
+    })?;
+    Ok(classify_campaign(reference, &records))
 }
 
 /// SQL: outcome distribution of a campaign (requires [`analyse_campaign`]).

@@ -13,7 +13,10 @@ use crate::campaign::{
     WorkloadImage,
 };
 use crate::fault::FaultSpec;
-use crate::logging::{ExperimentRecord, LoggingMode, StateSnapshot, TerminationCause, Validity};
+use crate::logging::{
+    decode_trace, encode_trace, ExperimentRecord, LoggingMode, StateSnapshot, TerminationCause,
+    Validity,
+};
 use crate::supervisor::{RecoveryAction, RecoveryRecord, RecoveryStage, RecoveryTrigger};
 use crate::vfs::{self, Vfs};
 use crate::{GoofiError, Result};
@@ -340,12 +343,7 @@ pub fn load_campaign(db: &Database, name: &str) -> Result<Campaign> {
 /// Fails when the campaign row is absent (foreign key) or the experiment
 /// name is taken.
 pub fn log_experiment(db: &mut Database, record: &ExperimentRecord) -> Result<()> {
-    let trace = record
-        .trace
-        .iter()
-        .map(StateSnapshot::encode)
-        .collect::<Vec<_>>()
-        .join("---\n");
+    let trace = encode_trace(&record.trace);
     let mut row = vec![
         Value::text(record.name.clone()),
         record.parent.clone().map_or(Value::Null, Value::text),
@@ -608,7 +606,7 @@ pub fn load_experiment(db: &Database, name: &str) -> Result<ExperimentRecord> {
     let row = table
         .find_by_key(&Value::text(name))
         .ok_or_else(|| GoofiError::Config(format!("unknown experiment `{name}`")))?;
-    decode_log_row(row)
+    decode_log_row(row, true)
 }
 
 /// Loads every experiment of a campaign (reference first, when present).
@@ -617,22 +615,44 @@ pub fn load_experiment(db: &Database, name: &str) -> Result<ExperimentRecord> {
 ///
 /// Fails on malformed rows.
 pub fn load_experiments(db: &Database, campaign: &str) -> Result<Vec<ExperimentRecord>> {
+    load_campaign_rows(db, campaign, true)
+}
+
+/// [`load_experiments`] without the detail-mode traces: every record's
+/// `trace` is empty and the `trace` column is neither decoded nor
+/// checked. Classification needs only the end states, and a detail-mode
+/// trace is thousands of snapshots per record.
+///
+/// # Errors
+///
+/// Fails on malformed rows.
+pub fn load_experiments_untraced(db: &Database, campaign: &str) -> Result<Vec<ExperimentRecord>> {
+    load_campaign_rows(db, campaign, false)
+}
+
+fn load_campaign_rows(
+    db: &Database,
+    campaign: &str,
+    with_trace: bool,
+) -> Result<Vec<ExperimentRecord>> {
     let table = db
         .table(LOG_TABLE)
         .ok_or_else(|| GoofiError::Config(format!("no {LOG_TABLE} table")))?;
     let mut records = Vec::new();
     for row in table.iter() {
         if row[2].as_text() == Some(campaign) {
-            records.push(decode_log_row(row)?);
+            records.push(decode_log_row(row, with_trace)?);
         }
     }
     // Length-then-lexicographic keeps numeric order even past the 5-digit
     // zero padding of experiment names.
-    records.sort_by_key(|r| (!r.is_reference(), r.name.len(), r.name.clone()));
+    records.sort_by(|a, b| {
+        (!a.is_reference(), a.name.len(), &a.name).cmp(&(!b.is_reference(), b.name.len(), &b.name))
+    });
     Ok(records)
 }
 
-fn decode_log_row(row: &[Value]) -> Result<ExperimentRecord> {
+fn decode_log_row(row: &[Value], with_trace: bool) -> Result<ExperimentRecord> {
     let name = row[0].as_text().unwrap_or_default().to_string();
     let bad = |what: &str| GoofiError::Config(format!("experiment `{name}`: bad {what}"));
     let fault = match row[3].as_text() {
@@ -643,12 +663,10 @@ fn decode_log_row(row: &[Value]) -> Result<ExperimentRecord> {
         .ok_or_else(|| bad("termination"))?;
     let state = StateSnapshot::decode(row[5].as_text().unwrap_or_default())
         .ok_or_else(|| bad("stateVector"))?;
-    let mut trace = Vec::new();
-    if let Some(text) = row[6].as_text() {
-        for part in text.split("---\n") {
-            trace.push(StateSnapshot::decode(part).ok_or_else(|| bad("trace"))?);
-        }
-    }
+    let trace = match row[6].as_text() {
+        Some(text) if with_trace => decode_trace(text).ok_or_else(|| bad("trace"))?,
+        _ => Vec::new(),
+    };
     // Rows written before the validity column existed decode as valid.
     let validity = match row.get(7).and_then(|v| v.as_text()) {
         Some(text) => Validity::decode(text).ok_or_else(|| bad("validity"))?,

@@ -23,7 +23,7 @@
 //!   because a damaged cache can only cost time, not correctness.
 
 use crate::campaign::Campaign;
-use crate::journal::{encode_record_payload, fnv1a, parse_entry, Entry};
+use crate::journal::{encode_record_payload, parse_entry, seal_line, Entry};
 use crate::logging::{digest_words, ExperimentRecord};
 use crate::vfs::{atomic_write, read_lossy, Vfs};
 use std::path::{Path, PathBuf};
@@ -88,12 +88,10 @@ impl<'v> GoldenCache<'v> {
     /// swallowed: a cache that cannot be written only costs the next run
     /// a recomputation.
     pub fn store(&self, _campaign: &Campaign, reference: &ExperimentRecord) {
-        let payload = encode_record_payload(None, reference);
-        let body = format!(
-            "{MAGIC}\n{}\n{payload}\t#{:08x}\n",
-            self.key,
-            fnv1a(payload.as_bytes())
-        );
+        let mut body = format!("{MAGIC}\n{}\n", self.key);
+        let payload = body.len();
+        encode_record_payload(&mut body, None, reference);
+        seal_line(&mut body, payload);
         let _ = atomic_write(self.vfs, &self.path, body.as_bytes());
     }
 

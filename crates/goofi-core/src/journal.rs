@@ -36,11 +36,15 @@
 //! the tail a crash mid-append can leave — so a damaged tail never
 //! poisons the records before it.
 
-use crate::logging::{ExperimentRecord, StateSnapshot, TerminationCause, Validity};
+use crate::logging::{
+    decode_trace, encode_trace, ExperimentRecord, StateSnapshot, TerminationCause, Validity,
+};
 use crate::policy::ExperimentFailure;
 use crate::vfs::{self, Vfs, VfsFile};
 use crate::{fault::FaultSpec, GoofiError, Result};
+use goofidb::codec::{escape, escape_into, fnv1a, unescape_lenient};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::path::{Path, PathBuf};
 
 const HEADER: &str = "#goofi-journal v1";
@@ -165,7 +169,9 @@ impl ExperimentJournal {
     ///
     /// I/O errors, surfaced as [`GoofiError::Journal`].
     pub fn append_record(&mut self, index: Option<usize>, record: &ExperimentRecord) -> Result<()> {
-        self.append_line(&encode_record_payload(index, record))
+        let mut line = String::new();
+        encode_record_payload(&mut line, index, record);
+        self.append_line(line)
     }
 
     /// Appends an experiment failure.
@@ -174,17 +180,14 @@ impl ExperimentJournal {
     ///
     /// I/O errors, surfaced as [`GoofiError::Journal`].
     pub fn append_failure(&mut self, failure: &ExperimentFailure) -> Result<()> {
-        let payload = format!(
-            "F\t{}\t{}\t{}",
-            failure.index,
-            failure.attempts,
-            escape(&failure.error)
-        );
-        self.append_line(&payload)
+        let mut line = format!("F\t{}\t{}\t", failure.index, failure.attempts);
+        escape_into(&mut line, &failure.error);
+        self.append_line(line)
     }
 
-    fn append_line(&mut self, payload: &str) -> Result<()> {
-        let line = format!("{payload}\t#{:08x}\n", fnv1a(payload.as_bytes()));
+    /// Seals an entry's payload into its line and writes it durably.
+    fn append_line(&mut self, mut line: String) -> Result<()> {
+        seal_line(&mut line, 0);
         self.file
             .write_all(line.as_bytes())
             .and_then(|()| self.file.sync())
@@ -227,7 +230,7 @@ impl ExperimentJournal {
         }
         let mut state = JournalState::default();
         match lines.next().and_then(|l| l.strip_prefix("C\t")) {
-            Some(name) => state.campaign = unescape(name),
+            Some(name) => state.campaign = unescape_lenient(name),
             None => {
                 return Err(GoofiError::Journal(format!(
                     "{}: missing campaign line",
@@ -321,7 +324,7 @@ pub fn scan_text(text: &str) -> JournalScan {
         return scan;
     }
     let campaign = match lines.next().and_then(|l| l.strip_prefix("C\t")) {
-        Some(name) => unescape(name),
+        Some(name) => unescape_lenient(name),
         None => return scan,
     };
     scan.campaign = Some(campaign.clone());
@@ -423,35 +426,55 @@ pub(crate) enum Entry {
     Failed(ExperimentFailure),
 }
 
-/// One journal record line, minus the trailing checksum column (shared
-/// with the golden-run cache, which persists a reference record in the
-/// same checksummed format).
-pub(crate) fn encode_record_payload(index: Option<usize>, record: &ExperimentRecord) -> String {
-    format!(
-        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        index.map_or_else(|| "-".to_string(), |i| i.to_string()),
-        escape(&record.name),
-        record.parent.as_deref().map_or_else(|| "-".into(), escape),
-        record
-            .fault
-            .as_ref()
-            .map_or_else(|| "-".into(), |f| escape(&f.encode())),
-        escape(&record.termination.encode()),
-        escape(&record.state.encode()),
-        if record.trace.is_empty() {
-            "-".to_string()
-        } else {
-            escape(
-                &record
-                    .trace
-                    .iter()
-                    .map(StateSnapshot::encode)
-                    .collect::<Vec<_>>()
-                    .join("---\n"),
-            )
-        },
-        record.validity.encode(),
-    )
+/// Appends one journal record line, minus the trailing checksum column,
+/// to `out` (shared with the golden-run cache, which persists a reference
+/// record in the same checksummed format).
+pub(crate) fn encode_record_payload(
+    out: &mut String,
+    index: Option<usize>,
+    record: &ExperimentRecord,
+) {
+    out.push_str("R\t");
+    match index {
+        Some(i) => {
+            let _ = write!(out, "{i}");
+        }
+        None => out.push('-'),
+    }
+    out.push('\t');
+    escape_into(out, &record.name);
+    out.push('\t');
+    match &record.parent {
+        Some(parent) => escape_into(out, parent),
+        None => out.push('-'),
+    }
+    out.push('\t');
+    match &record.fault {
+        Some(fault) => escape_into(out, &fault.encode()),
+        None => out.push('-'),
+    }
+    out.push('\t');
+    escape_into(out, &record.termination.encode());
+    out.push('\t');
+    escape_into(out, &record.state.encode());
+    out.push('\t');
+    if record.trace.is_empty() {
+        out.push('-');
+    } else {
+        let trace = encode_trace(&record.trace);
+        // Escaping adds one byte per snapshot line, a few percent.
+        out.reserve(trace.len() + trace.len() / 16);
+        escape_into(out, &trace);
+    }
+    out.push('\t');
+    out.push_str(record.validity.encode());
+}
+
+/// Ends the entry whose payload starts at byte `start` of `out`: appends
+/// the payload's FNV-1a checksum column and the newline.
+pub(crate) fn seal_line(out: &mut String, start: usize) {
+    let sum = fnv1a(&out.as_bytes()[start..]);
+    let _ = writeln!(out, "\t#{sum:08x}");
 }
 
 pub(crate) fn parse_entry(line: &str, campaign: &str) -> Option<Entry> {
@@ -470,23 +493,20 @@ pub(crate) fn parse_entry(line: &str, campaign: &str) -> Option<Entry> {
                 None => Validity::Valid,
             };
             let record = ExperimentRecord {
-                name: unescape(name),
-                parent: (*parent != "-").then(|| unescape(parent)),
+                name: unescape_lenient(name),
+                parent: (*parent != "-").then(|| unescape_lenient(parent)),
                 campaign: campaign.to_string(),
                 fault: if *fault == "-" {
                     None
                 } else {
-                    Some(FaultSpec::decode(&unescape(fault))?)
+                    Some(FaultSpec::decode(&unescape_lenient(fault))?)
                 },
-                termination: TerminationCause::decode(&unescape(termination))?,
-                state: StateSnapshot::decode(&unescape(state))?,
+                termination: TerminationCause::decode(&unescape_lenient(termination))?,
+                state: StateSnapshot::decode(&unescape_lenient(state))?,
                 trace: if *trace == "-" {
                     Vec::new()
                 } else {
-                    unescape(trace)
-                        .split("---\n")
-                        .map(StateSnapshot::decode)
-                        .collect::<Option<Vec<_>>>()?
+                    decode_trace(&unescape_lenient(trace))?
                 },
                 validity,
             };
@@ -502,54 +522,11 @@ pub(crate) fn parse_entry(line: &str, campaign: &str) -> Option<Entry> {
                 index,
                 name: format!("{campaign}/exp{index:05}"),
                 attempts: attempts.parse().ok()?,
-                error: unescape(error),
+                error: unescape_lenient(error),
             }))
         }
         _ => None,
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -744,12 +721,5 @@ mod tests {
         assert!(ExperimentJournal::load(&path, "c1").is_err());
         std::fs::remove_file(&path).unwrap();
         assert!(ExperimentJournal::load(&path, "c1").is_err()); // missing file
-    }
-
-    #[test]
-    fn escape_roundtrips() {
-        for s in ["plain", "tab\tnl\ncr\rback\\slash", "", "trailing\\"] {
-            assert_eq!(unescape(&escape(s)), s);
-        }
     }
 }

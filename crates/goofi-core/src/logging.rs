@@ -11,7 +11,7 @@
 
 use crate::target::DetectionInfo;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Normal (end-state only) or detail (per-instruction trace) logging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -127,17 +127,33 @@ impl StateSnapshot {
     /// Serialises to the text form stored in the database.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        for (chain, bits) in &self.scan {
-            out.push_str(&format!("chain {chain} {bits}\n"));
-        }
-        out.push_str(&format!("memdigest {}\n", self.memory_digest));
-        let outs: Vec<String> = self.outputs.iter().map(u32::to_string).collect();
-        out.push_str(&format!("outputs {}\n", outs.join(",")));
-        out.push_str(&format!(
-            "counters {} {} {}\n",
-            self.iterations, self.instructions, self.cycles
-        ));
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends [`StateSnapshot::encode`] output to `out`.
+    pub fn encode_into(&self, out: &mut String) {
+        for (chain, bits) in &self.scan {
+            out.push_str("chain ");
+            out.push_str(chain);
+            out.push(' ');
+            out.push_str(bits);
+            out.push('\n');
+        }
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "memdigest {}", self.memory_digest);
+        out.push_str("outputs ");
+        for (i, value) in self.outputs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{value}");
+        }
+        let _ = writeln!(
+            out,
+            "\ncounters {} {} {}",
+            self.iterations, self.instructions, self.cycles
+        );
     }
 
     /// Parses [`StateSnapshot::encode`] output.
@@ -178,6 +194,35 @@ impl StateSnapshot {
     pub fn same_state(&self, other: &StateSnapshot) -> bool {
         self.scan == other.scan && self.memory_digest == other.memory_digest
     }
+}
+
+/// Separator between the snapshots of an encoded detail-mode trace.
+const TRACE_SEPARATOR: &str = "---\n";
+
+/// Serialises a detail-mode trace: the snapshots' [`StateSnapshot::encode`]
+/// texts joined by `---` lines. This one text is what the journal, the
+/// golden-run cache and the `trace` column of `LoggedSystemState` store.
+pub fn encode_trace(trace: &[StateSnapshot]) -> String {
+    let mut out = String::new();
+    for (i, snapshot) in trace.iter().enumerate() {
+        if i > 0 {
+            out.push_str(TRACE_SEPARATOR);
+        }
+        snapshot.encode_into(&mut out);
+        if i == 0 {
+            // Snapshots of one trace encode to near-equal lengths: size
+            // the text once instead of growing it by copies.
+            out.reserve((out.len() + TRACE_SEPARATOR.len() + 8) * (trace.len() - 1));
+        }
+    }
+    out
+}
+
+/// Parses [`encode_trace`] output.
+pub fn decode_trace(text: &str) -> Option<Vec<StateSnapshot>> {
+    text.split(TRACE_SEPARATOR)
+        .map(StateSnapshot::decode)
+        .collect()
 }
 
 const DIGEST_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -34,7 +34,7 @@
 //! seed, which is what the torture harness sweeps.
 
 use super::chaos::mix;
-use crate::journal::fnv1a;
+use goofidb::codec::fnv1a;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

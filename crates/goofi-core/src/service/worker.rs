@@ -280,6 +280,7 @@ where
     if let Some(chaos) = args.chaos.filter(|c| c.active(args.attempt)) {
         let kill_point = chaos.kill_point(args.shard, args.attempt);
         let monitor = monitor.clone();
+        let daemon = std::os::unix::process::parent_id();
         std::thread::spawn(move || {
             let mut last = Progress::default();
             loop {
@@ -289,11 +290,15 @@ where
                         ChaosMode::Exit => std::process::exit(CHAOS_EXIT_CODE),
                         ChaosMode::Stall => {
                             // Freeze the campaign without exiting: the
-                            // lease deadline must catch us.
+                            // lease deadline must catch us. Only the
+                            // daemon that spawned us kills on expiry, so
+                            // once it is gone (we were re-parented) an
+                            // orphaned stall would last forever: exit.
                             monitor.pause();
-                            loop {
-                                std::thread::sleep(Duration::from_secs(3600));
+                            while std::os::unix::process::parent_id() == daemon {
+                                std::thread::sleep(Duration::from_millis(100));
                             }
+                            std::process::exit(CHAOS_EXIT_CODE);
                         }
                     }
                 }

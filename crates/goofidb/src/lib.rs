@@ -20,7 +20,8 @@
 //!   `JOIN … ON`, `WHERE`, `GROUP BY`, aggregates, `ORDER BY`, `LIMIT`),
 //!   `UPDATE` and `DELETE`,
 //! * text-file persistence ([`Database::save_to_string`] /
-//!   [`Database::load_from_string`]).
+//!   [`Database::load_from_string`]) over the [`codec`] that GOOFI's other
+//!   text formats share.
 //!
 //! # Example
 //!
@@ -37,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 mod db;
 mod error;
 mod persist;

@@ -13,11 +13,14 @@
 //! quarantine rather than silently drop data. Files written before the
 //! footer existed (no CHECK line) still load.
 
+use crate::codec::{escape_into, fnv1a, fnv1a_update, unescape, FNV1A_INIT};
 use crate::schema::{ColumnDef, ColumnType, ForeignKey, TableSchema};
 use crate::value::Value;
 use crate::{Database, DbError};
+use std::fmt::Write;
 
-/// Serialises a database.
+/// Serialises a database. (Writing into a `String` cannot fail, so the
+/// `writeln!` results below are ignored.)
 pub(crate) fn save(db: &Database) -> String {
     let mut out = String::from("#goofidb v1\n");
     for name in topo_order(db) {
@@ -26,32 +29,26 @@ pub(crate) fn save(db: &Database) -> String {
         let Some(table) = db.table(&name) else {
             continue;
         };
-        out.push_str(&format!("TABLE {name}\n"));
+        let _ = writeln!(out, "TABLE {name}");
         for c in &table.schema().columns {
-            out.push_str(&format!(
-                "COLUMN {} {}{}\n",
-                c.name,
-                c.ty.keyword(),
-                if c.primary_key { " PK" } else { "" }
-            ));
+            let pk = if c.primary_key { " PK" } else { "" };
+            let _ = writeln!(out, "COLUMN {} {}{pk}", c.name, c.ty.keyword());
         }
         for fk in &table.schema().foreign_keys {
-            out.push_str(&format!(
-                "FK {} {} {}\n",
-                fk.column, fk.ref_table, fk.ref_column
-            ));
+            let _ = writeln!(out, "FK {} {} {}", fk.column, fk.ref_table, fk.ref_column);
         }
-        let mut rows = String::new();
+        out.reserve(table.iter().map(|row| row_size_hint(row)).sum());
+        let rows = out.len();
         for row in table.iter() {
-            rows.push_str("ROW");
+            out.push_str("ROW");
             for v in row {
-                rows.push('\t');
-                rows.push_str(&encode_value(v));
+                out.push('\t');
+                encode_value_into(&mut out, v);
             }
-            rows.push('\n');
+            out.push('\n');
         }
-        out.push_str(&rows);
-        out.push_str(&format!("CHECK {:08x}\n", fnv1a(rows.as_bytes())));
+        let check = fnv1a(&out.as_bytes()[rows..]);
+        let _ = writeln!(out, "CHECK {check:08x}");
         out.push_str("END\n");
     }
     out
@@ -80,7 +77,7 @@ pub(crate) fn load(text: &str) -> Result<Database, DbError> {
         let mut columns = Vec::new();
         let mut fks = Vec::new();
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut row_bytes = String::new();
+        let mut row_hash = FNV1A_INIT;
         loop {
             let line = lines
                 .next()
@@ -93,11 +90,10 @@ pub(crate) fn load(text: &str) -> Result<Database, DbError> {
                 // written before it existed).
                 let want = u32::from_str_radix(sum.trim(), 16)
                     .map_err(|_| DbError::Execution(format!("bad CHECK line `{line}`")))?;
-                let got = fnv1a(row_bytes.as_bytes());
-                if want != got {
+                if want != row_hash {
                     return Err(DbError::Corrupt {
                         table: name.clone(),
-                        detail: format!("row checksum {got:08x} != recorded {want:08x}"),
+                        detail: format!("row checksum {row_hash:08x} != recorded {want:08x}"),
                     });
                 }
                 continue;
@@ -125,8 +121,7 @@ pub(crate) fn load(text: &str) -> Result<Database, DbError> {
                     ref_column: parts[2].to_string(),
                 });
             } else if let Some(rest) = line.strip_prefix("ROW") {
-                row_bytes.push_str(line);
-                row_bytes.push('\n');
+                row_hash = fnv1a_update(fnv1a_update(row_hash, line.as_bytes()), b"\n");
                 let mut row = Vec::new();
                 for field in rest.split('\t').skip(1) {
                     row.push(decode_value(field)?);
@@ -228,7 +223,7 @@ pub(crate) fn load_lenient(text: &str) -> (Database, Vec<PersistIssue>) {
         let mut fks = Vec::new();
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let mut bad_rows: Vec<PersistIssue> = Vec::new();
-        let mut row_bytes = String::new();
+        let mut row_hash = FNV1A_INIT;
         let mut terminated = false;
         for line in lines.by_ref() {
             if line == "END" {
@@ -237,13 +232,12 @@ pub(crate) fn load_lenient(text: &str) -> (Database, Vec<PersistIssue>) {
             }
             if let Some(sum) = line.strip_prefix("CHECK ") {
                 let want = u32::from_str_radix(sum.trim(), 16).unwrap_or(0);
-                let got = fnv1a(row_bytes.as_bytes());
-                if want != got {
+                if want != row_hash {
                     issues.push(PersistIssue {
                         table: name.clone(),
                         kind: IssueKind::ChecksumMismatch,
                         recovered: Vec::new(),
-                        detail: format!("row checksum {got:08x} != recorded {want:08x}"),
+                        detail: format!("row checksum {row_hash:08x} != recorded {want:08x}"),
                     });
                 }
             } else if let Some(rest) = line.strip_prefix("COLUMN ") {
@@ -282,8 +276,7 @@ pub(crate) fn load_lenient(text: &str) -> (Database, Vec<PersistIssue>) {
                     });
                 }
             } else if let Some(rest) = line.strip_prefix("ROW") {
-                row_bytes.push_str(line);
-                row_bytes.push('\n');
+                row_hash = fnv1a_update(fnv1a_update(row_hash, line.as_bytes()), b"\n");
                 let fields: Vec<Option<Value>> = rest
                     .split('\t')
                     .skip(1)
@@ -351,15 +344,6 @@ fn clip(line: &str) -> String {
     out
 }
 
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
 /// Orders tables so every table appears after the tables it references.
 fn topo_order(db: &Database) -> Vec<String> {
     let names = db.table_names();
@@ -392,13 +376,30 @@ fn topo_order(db: &Database) -> Vec<String> {
     out
 }
 
-fn encode_value(v: &Value) -> String {
+/// About the length of a row's ROW line, so the dump is sized once rather
+/// than grown by copies; text is assumed to need few escapes.
+fn row_size_hint(row: &[Value]) -> usize {
+    let value = |v: &Value| match v {
+        Value::Text(s) => s.len() + s.len() / 16 + 3,
+        _ => 24,
+    };
+    4 + row.iter().map(value).sum::<usize>()
+}
+
+fn encode_value_into(out: &mut String, v: &Value) {
     match v {
-        Value::Null => "N".to_string(),
-        Value::Int(i) => format!("I:{i}"),
+        Value::Null => out.push('N'),
+        Value::Int(i) => {
+            let _ = write!(out, "I:{i}");
+        }
         // Bit-exact float round trip.
-        Value::Real(r) => format!("R:{}", r.to_bits()),
-        Value::Text(s) => format!("T:{}", escape(s)),
+        Value::Real(r) => {
+            let _ = write!(out, "R:{}", r.to_bits());
+        }
+        Value::Text(s) => {
+            out.push_str("T:");
+            escape_into(out, s);
+        }
     }
 }
 
@@ -421,44 +422,6 @@ fn decode_value(field: &str) -> Result<Value, DbError> {
         "T" => Ok(Value::Text(unescape(body)?)),
         _ => Err(DbError::Execution(format!("bad value tag `{tag}`"))),
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> Result<String, DbError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            other => {
-                return Err(DbError::Execution(format!(
-                    "bad escape `\\{}`",
-                    other.map(String::from).unwrap_or_default()
-                )))
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

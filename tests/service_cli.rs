@@ -267,4 +267,44 @@ fn sigkilled_daemon_resumes_the_job_on_restart() {
     let want = essence_rows(&serial);
     assert!(!want.is_empty());
     assert_eq!(got, want, "resumed database diverged from serial run");
+
+    // The first daemon's stalled workers lost the process that would have
+    // killed them on lease expiry; they must not outlive the test.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let orphans = stalled_workers_in(&guard.path);
+        if orphans.is_empty() {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "stalled workers outlived their daemon: {orphans:?}"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+}
+
+/// Pids of live `goofi worker` processes in `mode=stall` chaos whose
+/// command line names a path under `dir`, read from `/proc` (empty where
+/// there is no `/proc`).
+fn stalled_workers_in(dir: &std::path::Path) -> Vec<u32> {
+    let dir = dir.to_string_lossy();
+    let Ok(entries) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .filter_map(|entry| {
+            let pid = entry.file_name().to_str()?.parse().ok()?;
+            let cmdline = std::fs::read(entry.path().join("cmdline")).ok()?;
+            let args: Vec<String> = cmdline
+                .split(|&b| b == 0)
+                .map(|arg| String::from_utf8_lossy(arg).into_owned())
+                .collect();
+            let stalled = args.iter().any(|a| a == "worker")
+                && args.iter().any(|a| a.contains("mode=stall"))
+                && args.iter().any(|a| a.contains(&*dir));
+            stalled.then_some(pid)
+        })
+        .collect()
 }
