@@ -200,9 +200,10 @@ pub fn run_campaign<T: TargetAccess + ?Sized>(
 }
 
 /// [`run_campaign`] with an optional crash-safe journal: each finished
-/// experiment is appended (and synced) before the next one starts, so a
-/// process crash loses at most the experiment in flight — see
-/// [`crate::runner::resume_campaign`].
+/// experiment is appended before the next one starts, so a process crash
+/// loses at most the experiment in flight — see
+/// [`crate::runner::resume_campaign`]. The journal is synced in groups
+/// and committed before the result is returned (see [`crate::journal`]).
 ///
 /// # Errors
 ///
@@ -230,6 +231,36 @@ pub fn run_campaign_journaled<T: TargetAccess + ?Sized>(
 /// As [`run_campaign_journaled`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_journaled_opts<T: TargetAccess + ?Sized>(
+    target: &mut T,
+    campaign: &Campaign,
+    monitor: &ProgressMonitor,
+    env: &mut dyn Environment,
+    mut journal: Option<&mut ExperimentJournal>,
+    cache: Option<&GoldenCache>,
+    snapshots: bool,
+) -> Result<CampaignResult> {
+    let result = run_serial(
+        target,
+        campaign,
+        monitor,
+        env,
+        journal.as_deref_mut(),
+        cache,
+        snapshots,
+    );
+    // Commit on every return path, `Ok` or `Err`: no result leaves the
+    // campaign loop before the journal entries behind it are synced, and a
+    // failed sync replaces the result, which the journal cannot back.
+    match journal {
+        Some(j) => j.commit().and(result),
+        None => result,
+    }
+}
+
+/// The serial campaign loop of [`run_campaign_journaled_opts`], minus the
+/// final journal commit.
+#[allow(clippy::too_many_arguments)]
+fn run_serial<T: TargetAccess + ?Sized>(
     target: &mut T,
     campaign: &Campaign,
     monitor: &ProgressMonitor,

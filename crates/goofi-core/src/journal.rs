@@ -4,10 +4,24 @@
 //! `Database::save_to_path`) but only written when someone asks. A
 //! campaign that dies 4 000 experiments into 5 000 would lose everything
 //! since the last save. The journal closes that gap: the campaign driver
-//! appends one entry per finished experiment, each entry flushed and
-//! `fsync`ed, so after a crash [`crate::runner::resume_campaign`] can
-//! reload exactly the completed set, skip it, and re-run only what is
-//! missing or failed.
+//! appends one entry per finished experiment, so after a crash
+//! [`crate::runner::resume_campaign`] can reload exactly the completed
+//! set, skip it, and re-run only what is missing or failed.
+//!
+//! ## Durability: group commit
+//!
+//! Every entry is sealed and handed to the OS with one `write` before its
+//! append returns, so a killed or panicking process loses at most the
+//! entry it was writing. `fsync` is batched: the journal syncs once every
+//! `COMMIT_EVERY` entries, at [`ExperimentJournal::commit`], and (best
+//! effort) when it is dropped. An OS crash or power loss therefore rolls
+//! the file back to a synced prefix and costs at most the entries since
+//! the last commit, which resume simply re-runs. The campaign executors
+//! commit on every return path before handing results back, so anything
+//! acknowledged *outside* the journal — a worker's `Done` event, a
+//! database save, a resumed run — only ever follows a synced journal.
+//! The cadence counts entries, never time, so a run's filesystem
+//! operation sequence is a pure function of the campaign.
 //!
 //! The campaign service ([`crate::service`]) leans on the same property
 //! one level up: each shard worker keeps a private journal under
@@ -49,6 +63,9 @@ use std::path::{Path, PathBuf};
 
 const HEADER: &str = "#goofi-journal v1";
 
+/// Entries appended between two group commits.
+const COMMIT_EVERY: usize = 64;
+
 /// What a journal file says about a partially-run campaign.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JournalState {
@@ -88,12 +105,16 @@ impl JournalState {
 
 /// An open, append-only experiment journal.
 ///
-/// Each append is written as one line, flushed, and synced to disk before
-/// returning, so an entry either fully exists or is a recognisable torn
-/// tail.
+/// Each append is written as one line before returning, so an entry
+/// either fully exists or is a recognisable torn tail. Appends are synced
+/// to disk in groups (see the module docs): call
+/// [`ExperimentJournal::commit`] before acknowledging anything the
+/// journal must back.
 pub struct ExperimentJournal {
     file: Box<dyn VfsFile>,
     path: PathBuf,
+    /// Entries written since the last sync.
+    unsynced: usize,
 }
 
 impl std::fmt::Debug for ExperimentJournal {
@@ -101,6 +122,14 @@ impl std::fmt::Debug for ExperimentJournal {
         f.debug_struct("ExperimentJournal")
             .field("path", &self.path)
             .finish_non_exhaustive()
+    }
+}
+
+impl Drop for ExperimentJournal {
+    /// Best-effort backstop for a journal dropped without a final
+    /// [`ExperimentJournal::commit`]; errors have nowhere to go here.
+    fn drop(&mut self) {
+        let _ = self.commit();
     }
 }
 
@@ -130,7 +159,11 @@ impl ExperimentJournal {
         file.write_all(header.as_bytes())
             .and_then(|()| file.sync())
             .map_err(|e| GoofiError::io("writing header to", &path, &e))?;
-        Ok(ExperimentJournal { file, path })
+        Ok(ExperimentJournal {
+            file,
+            path,
+            unsynced: 0,
+        })
     }
 
     /// Opens an existing journal for appending (after [`load`]).
@@ -154,7 +187,11 @@ impl ExperimentJournal {
         let file = vfs
             .open_append(&path)
             .map_err(|e| GoofiError::io("opening", &path, &e))?;
-        Ok(ExperimentJournal { file, path })
+        Ok(ExperimentJournal {
+            file,
+            path,
+            unsynced: 0,
+        })
     }
 
     /// The journal's file path.
@@ -167,7 +204,7 @@ impl ExperimentJournal {
     ///
     /// # Errors
     ///
-    /// I/O errors, surfaced as [`GoofiError::Journal`].
+    /// I/O errors, surfaced as [`GoofiError::Io`].
     pub fn append_record(&mut self, index: Option<usize>, record: &ExperimentRecord) -> Result<()> {
         let mut line = String::new();
         encode_record_payload(&mut line, index, record);
@@ -178,20 +215,42 @@ impl ExperimentJournal {
     ///
     /// # Errors
     ///
-    /// I/O errors, surfaced as [`GoofiError::Journal`].
+    /// I/O errors, surfaced as [`GoofiError::Io`].
     pub fn append_failure(&mut self, failure: &ExperimentFailure) -> Result<()> {
         let mut line = format!("F\t{}\t{}\t", failure.index, failure.attempts);
         escape_into(&mut line, &failure.error);
         self.append_line(line)
     }
 
-    /// Seals an entry's payload into its line and writes it durably.
+    /// Seals an entry's payload into its line and writes it, syncing once
+    /// every [`COMMIT_EVERY`] entries.
     fn append_line(&mut self, mut line: String) -> Result<()> {
         seal_line(&mut line, 0);
         self.file
             .write_all(line.as_bytes())
-            .and_then(|()| self.file.sync())
-            .map_err(|e| GoofiError::io("appending to", &self.path, &e))
+            .map_err(|e| GoofiError::io("appending to", &self.path, &e))?;
+        self.unsynced += 1;
+        if self.unsynced >= COMMIT_EVERY {
+            self.commit()?;
+        }
+        Ok(())
+    }
+
+    /// Syncs every entry written so far to stable storage; a no-op when
+    /// nothing was appended since the last sync.
+    ///
+    /// # Errors
+    ///
+    /// A failed sync, surfaced as [`GoofiError::Io`] naming the journal.
+    pub fn commit(&mut self) -> Result<()> {
+        if self.unsynced == 0 {
+            return Ok(());
+        }
+        self.file
+            .sync()
+            .map_err(|e| GoofiError::io("syncing", &self.path, &e))?;
+        self.unsynced = 0;
+        Ok(())
     }
 
     /// Loads a journal, tolerating a torn tail: parsing stops at the first

@@ -13,6 +13,7 @@ use crate::telemetry::{Metric, Telemetry};
 use crate::{GoofiError, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +84,9 @@ struct Inner {
     // different mutexes); notified on every counter change so watchers
     // such as `goofi submit --watch` can stream live progress.
     progress_changed: Condvar,
+    // Set (under `progress`) once the campaign loop has returned: the
+    // counters are final and `wait_for_change` no longer blocks.
+    finished: AtomicBool,
     telemetry: Telemetry,
 }
 
@@ -118,6 +122,7 @@ impl ProgressMonitor {
                     ..Progress::default()
                 }),
                 progress_changed: Condvar::new(),
+                finished: AtomicBool::new(false),
                 telemetry,
             }),
         }
@@ -291,14 +296,29 @@ impl ProgressMonitor {
         self.inner.progress.lock().clone()
     }
 
-    /// Blocks until the counters differ from `last` or `timeout` elapses,
-    /// then returns a copy of the current counters. This is the push side
-    /// of live progress streaming: shard workers loop on it to emit one
-    /// wire event per change instead of polling [`ProgressMonitor::snapshot`].
+    /// Declares the counters final once the campaign loop has returned:
+    /// wakes every [`ProgressMonitor::wait_for_change`] caller, and later
+    /// calls return at once.
+    pub fn finish(&self) {
+        let _p = self.inner.progress.lock();
+        self.inner.finished.store(true, Ordering::Release);
+        self.inner.progress_changed.notify_all();
+    }
+
+    /// Whether [`ProgressMonitor::finish`] was called.
+    pub fn is_finished(&self) -> bool {
+        self.inner.finished.load(Ordering::Acquire)
+    }
+
+    /// Blocks until the counters differ from `last`, the monitor is
+    /// [finished](ProgressMonitor::finish) or `timeout` elapses, then
+    /// returns a copy of the current counters. This is the push side of
+    /// live progress streaming: shard workers loop on it to emit one wire
+    /// event per change instead of polling [`ProgressMonitor::snapshot`].
     pub fn wait_for_change(&self, last: &Progress, timeout: std::time::Duration) -> Progress {
         let deadline = std::time::Instant::now() + timeout;
         let mut p = self.inner.progress.lock();
-        while *p == *last {
+        while *p == *last && !self.is_finished() {
             let now = std::time::Instant::now();
             if now >= deadline {
                 break;
@@ -448,6 +468,26 @@ mod tests {
         m.record(&TerminationCause::WorkloadEnd);
         let p = handle.join().unwrap();
         assert_eq!(p.completed, 1);
+    }
+
+    #[test]
+    fn finish_wakes_a_waiter_at_once() {
+        let m = ProgressMonitor::new(2);
+        let last = m.snapshot();
+        let m2 = m.clone();
+        let handle = thread::spawn(move || {
+            let start = std::time::Instant::now();
+            m2.wait_for_change(&last, Duration::from_secs(10));
+            start.elapsed()
+        });
+        thread::sleep(Duration::from_millis(30));
+        m.finish();
+        assert!(handle.join().unwrap() < Duration::from_secs(1));
+        // Finishing is sticky: a later wait does not block either.
+        let start = std::time::Instant::now();
+        m.wait_for_change(&m.snapshot(), Duration::from_secs(10));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert!(m.is_finished());
     }
 
     #[test]

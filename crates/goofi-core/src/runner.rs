@@ -14,8 +14,9 @@
 //!   [`GoofiError::ExperimentFailed`] carrying the partial
 //!   [`CampaignResult`], and when several workers fail concurrently the
 //!   *lowest-index* failure is reported, deterministically.
-//! - With a journal attached, every finished experiment is fsynced to an
-//!   append-only log before the campaign moves on, and
+//! - With a journal attached, every finished experiment is written to an
+//!   append-only log before the campaign moves on, the log is synced in
+//!   groups and once more before any result is returned, and
 //!   [`resume_campaign`] restarts an interrupted campaign by re-running
 //!   only what is missing — previously *failed* experiments are re-run as
 //!   new experiments linked to the original via `parentExperiment`
@@ -94,8 +95,10 @@ where
 }
 
 /// [`run_campaign_parallel`] with an optional crash-safe journal: the
-/// reference run and every finished experiment are appended (and synced)
-/// as they complete, so a crash loses at most the experiments in flight.
+/// reference run and every finished experiment are appended as they
+/// complete, so a process crash loses at most the experiments in flight
+/// (a power loss also the entries since the last group commit; see
+/// [`crate::journal`]).
 ///
 /// # Errors
 ///
@@ -389,9 +392,49 @@ where
 
 /// Shared parallel executor: runs `items` across `workers` threads,
 /// merges the outcomes with `preloaded` records (from a resumed journal)
-/// and assembles the campaign result.
+/// and assembles the campaign result. The journal is committed on every
+/// return path, `Ok` or `Err`, so no result leaves the executor before the
+/// journal entries behind it are synced; a failed sync replaces the
+/// result, which the journal cannot back.
 #[allow(clippy::too_many_arguments)]
 fn execute_items<T, FT, FE>(
+    make_target: &FT,
+    make_env: &Option<FE>,
+    campaign: &Campaign,
+    monitor: &ProgressMonitor,
+    workers: usize,
+    items: &[WorkItem],
+    preloaded: &BTreeMap<usize, ExperimentRecord>,
+    reference: ExperimentRecord,
+    journal: Option<&parking_lot::Mutex<&mut ExperimentJournal>>,
+    snapshots: bool,
+) -> Result<CampaignResult>
+where
+    T: TargetAccess,
+    FT: Fn() -> T + Sync,
+    FE: Fn() -> Box<dyn Environment> + Sync,
+{
+    let result = run_items(
+        make_target,
+        make_env,
+        campaign,
+        monitor,
+        workers,
+        items,
+        preloaded,
+        reference,
+        journal,
+        snapshots,
+    );
+    match journal {
+        Some(j) => j.lock().commit().and(result),
+        None => result,
+    }
+}
+
+/// The body of [`execute_items`], minus the final journal commit.
+#[allow(clippy::too_many_arguments)]
+fn run_items<T, FT, FE>(
     make_target: &FT,
     make_env: &Option<FE>,
     campaign: &Campaign,

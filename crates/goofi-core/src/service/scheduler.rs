@@ -982,6 +982,8 @@ fn poison_shard(
         )?;
         stubs += 2;
     }
+    // The merge that follows trusts these stubs: sync them first.
+    journal.commit()?;
     Ok(stubs)
 }
 

@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use std::io::Write;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -247,16 +247,18 @@ where
         0
     };
 
-    // Progress streamer: one event per counter change.
-    let finished = Arc::new(AtomicBool::new(false));
+    // Progress streamer: one event per counter change, ending with the
+    // final counters once the shard's run has returned.
     let streamer = {
         let monitor = monitor.clone();
-        let finished = Arc::clone(&finished);
         let shard = args.shard;
         let events = Arc::clone(&events);
         std::thread::spawn(move || {
             let mut last = Progress::default();
             loop {
+                // Read before waiting: once set, the wait below returns at
+                // once with the final counters.
+                let finished = monitor.is_finished();
                 let p = monitor.wait_for_change(&last, Duration::from_millis(100));
                 if p != last {
                     events.emit(&WorkerEvent::Progress {
@@ -268,7 +270,7 @@ where
                     });
                     last = p;
                 }
-                if finished.load(Ordering::Acquire) {
+                if finished {
                     return;
                 }
             }
@@ -284,6 +286,7 @@ where
         std::thread::spawn(move || {
             let mut last = Progress::default();
             loop {
+                let finished = monitor.is_finished();
                 let p = monitor.wait_for_change(&last, Duration::from_millis(50));
                 if p.completed.saturating_sub(baseline) as u64 >= kill_point {
                     match chaos.mode {
@@ -302,6 +305,9 @@ where
                         }
                     }
                 }
+                if finished {
+                    return;
+                }
                 last = p;
             }
         });
@@ -316,7 +322,10 @@ where
         &args.journal,
         range,
     );
-    finished.store(true, Ordering::Release);
+    // The run committed its journal before returning, so everything the
+    // final events report is durable. Wake the streamer now rather than
+    // at its next timeout.
+    monitor.finish();
     let _ = streamer.join();
 
     let snapshot = monitor.snapshot();

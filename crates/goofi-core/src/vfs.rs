@@ -301,6 +301,10 @@ pub enum FaultKind {
     /// *acknowledged-synced* length. Exposes any consumer that relies on
     /// unsynced data surviving a rename.
     LostSync,
+    /// An honest disk losing power: every `fsync` takes effect, and at the
+    /// crash point every file rolls back to its last synced length. What
+    /// was written but not yet synced is lost; what was synced survives.
+    PowerCut,
     /// The operation fails with `ENOSPC` (disk full). Transient: the
     /// process survives and later operations succeed.
     Enospc,
@@ -316,6 +320,7 @@ impl FaultKind {
             FaultKind::Torn => "torn",
             FaultKind::Garble => "garble",
             FaultKind::LostSync => "lost-sync",
+            FaultKind::PowerCut => "power-cut",
             FaultKind::Enospc => "enospc",
             FaultKind::Eio => "eio",
         }
@@ -327,6 +332,7 @@ impl FaultKind {
             FaultKind::Torn,
             FaultKind::Garble,
             FaultKind::LostSync,
+            FaultKind::PowerCut,
             FaultKind::Enospc,
             FaultKind::Eio,
         ]
@@ -338,7 +344,7 @@ impl FaultKind {
     pub fn is_crash(self) -> bool {
         matches!(
             self,
-            FaultKind::Torn | FaultKind::Garble | FaultKind::LostSync
+            FaultKind::Torn | FaultKind::Garble | FaultKind::LostSync | FaultKind::PowerCut
         )
     }
 }
@@ -395,8 +401,8 @@ impl FaultPlan {
 struct FaultState {
     ops: u64,
     crashed: bool,
-    /// Last synced length per path, tracked only for
-    /// [`FaultKind::LostSync`] rollback.
+    /// Last synced length per path, tracked for the rollback of
+    /// [`FaultKind::LostSync`] and [`FaultKind::PowerCut`].
     synced: HashMap<PathBuf, u64>,
 }
 
@@ -466,7 +472,8 @@ impl FaultFs {
     }
 
     /// Rolls every tracked file back to its last synced length — the
-    /// power-cut semantics of [`FaultKind::LostSync`].
+    /// power-cut semantics of [`FaultKind::LostSync`] and
+    /// [`FaultKind::PowerCut`].
     fn roll_back_unsynced(state: &FaultState) {
         for (path, len) in &state.synced {
             if let Ok(file) = OpenOptions::new().write(true).open(path) {
@@ -491,10 +498,10 @@ impl FaultFs {
             FaultKind::Enospc | FaultKind::Eio => Err(FaultFs::injected_err(self.plan.kind)),
             FaultKind::Torn | FaultKind::Garble if kind_is_write => Ok(Some(state.ops)),
             // A non-write op at a torn/garble crash point simply never
-            // happens; lost-sync rolls the world back first.
+            // happens; a power failure rolls the world back first.
             kind => {
                 state.crashed = true;
-                if kind == FaultKind::LostSync {
+                if matches!(kind, FaultKind::LostSync | FaultKind::PowerCut) {
                     FaultFs::roll_back_unsynced(&state);
                 }
                 Err(FaultFs::crashed_err())
@@ -689,6 +696,11 @@ mod tests {
                 kind: FaultKind::Enospc,
                 seed: 99,
             },
+            FaultPlan {
+                at: 9,
+                kind: FaultKind::PowerCut,
+                seed: 1,
+            },
         ];
         for plan in plans {
             assert_eq!(FaultPlan::decode(&plan.encode()), Some(plan));
@@ -779,6 +791,31 @@ mod tests {
         assert!(f.sync().is_err()); // op 7: power cut
         drop(f);
         assert_eq!(std::fs::read(&path).unwrap().len(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn power_cut_keeps_exactly_the_synced_prefix() {
+        let dir = temp_path("powercut-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f");
+        // Same ops as the lost-sync test, but the syncs at 3 and 5 take
+        // effect: the crash at 7 keeps the six bytes synced at op 5.
+        let fs = FaultFs::new(FaultPlan {
+            at: 7,
+            kind: FaultKind::PowerCut,
+            seed: 3,
+        });
+        let mut f = fs.create(&path).unwrap();
+        f.write_all(b"aaa").unwrap();
+        f.sync().unwrap();
+        f.write_all(b"bbb").unwrap();
+        f.sync().unwrap();
+        f.write_all(b"ccc").unwrap();
+        assert!(f.sync().is_err()); // op 7: power cut
+        drop(f);
+        assert_eq!(std::fs::read(&path).unwrap(), b"aaabbb");
+        assert!(fs.crashed());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

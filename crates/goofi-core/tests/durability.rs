@@ -29,12 +29,13 @@ use goofi_core::journal;
 use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::runner;
-use goofi_core::vfs::{unique_temp_dir, FaultFs, FaultKind, FaultPlan, RealFs, Vfs};
+use goofi_core::vfs::{unique_temp_dir, FaultFs, FaultKind, FaultPlan, RealFs, Vfs, VfsFile};
 use goofi_core::GoofiError;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 const CAMPAIGN: &str = "torture";
 
@@ -155,8 +156,13 @@ fn run_and_persist(
 /// filesystem operation with fault `kind`, then prove crash → fsck →
 /// resume converges to the uninterrupted run's database.
 fn crash_walk(kind: FaultKind) {
-    let dir = unique_temp_dir(&format!("walk-{}", kind.encode())).unwrap();
-    let campaign = sim_campaign(CAMPAIGN, 5);
+    crash_walk_over(kind, 5);
+}
+
+/// [`crash_walk`] over a campaign of `experiments` experiments.
+fn crash_walk_over(kind: FaultKind, experiments: usize) {
+    let dir = unique_temp_dir(&format!("walk-{}-{experiments}", kind.encode())).unwrap();
+    let campaign = sim_campaign(CAMPAIGN, experiments);
     let want = serial_records(&campaign);
 
     // Pass 0: learn how many mutating operations the walk must cover.
@@ -226,6 +232,257 @@ fn garbled_write_crash_at_every_operation_converges() {
 #[test]
 fn lost_sync_crash_at_every_operation_converges() {
     crash_walk(FaultKind::LostSync);
+}
+
+/// The journal's group-commit cadence, mirroring the private
+/// `COMMIT_EVERY` in `goofi_core::journal`.
+const COMMIT_EVERY: usize = 64;
+
+/// A campaign long enough that its journal crosses a group commit: the
+/// walks below crash between two commits as well as before the first.
+const PAST_ONE_GROUP: usize = COMMIT_EVERY + 6;
+
+#[test]
+fn torn_write_crash_walk_crosses_a_group_commit() {
+    crash_walk_over(FaultKind::Torn, PAST_ONE_GROUP);
+}
+
+#[test]
+fn lost_sync_crash_walk_crosses_a_group_commit() {
+    crash_walk_over(FaultKind::LostSync, PAST_ONE_GROUP);
+}
+
+#[test]
+fn power_cut_crash_walk_crosses_a_group_commit() {
+    crash_walk_over(FaultKind::PowerCut, PAST_ONE_GROUP);
+}
+
+/// The three ways a campaign runs against a journal: a resumable shard
+/// (the journal opened and closed inside the call), and the serial and
+/// parallel executors writing to a journal their caller holds open.
+#[derive(Debug, Clone, Copy)]
+enum Executor {
+    Shard,
+    Serial,
+    Parallel,
+}
+
+/// Runs `campaign` through `executor` with its journal at `path` on
+/// `vfs`. The journal stays open until `after` has run, as in a caller
+/// that saves its database before closing the journal.
+fn run_executor(
+    executor: Executor,
+    vfs: &dyn Vfs,
+    campaign: &Campaign,
+    path: &Path,
+    after: impl FnOnce(),
+) -> goofi_core::Result<()> {
+    let monitor = ProgressMonitor::new(campaign.experiment_count());
+    let no_env = None::<fn() -> Box<dyn envsim::Environment>>;
+    if let Executor::Shard = executor {
+        let result = runner::resume_campaign_shard_vfs(
+            SimTarget::new,
+            no_env,
+            campaign,
+            &monitor,
+            1,
+            vfs,
+            path,
+            0..campaign.experiment_count(),
+        );
+        after();
+        return result.map(drop);
+    }
+    let mut journal = journal::ExperimentJournal::create_with(vfs, path, &campaign.name)?;
+    let result = match executor {
+        Executor::Serial => algorithms::run_campaign_journaled(
+            &mut SimTarget::new(),
+            campaign,
+            &monitor,
+            &mut envsim::NullEnvironment,
+            Some(&mut journal),
+        ),
+        _ => runner::run_campaign_parallel_journaled(
+            SimTarget::new,
+            no_env,
+            campaign,
+            &monitor,
+            2,
+            Some(&mut journal),
+        ),
+    };
+    after();
+    drop(journal);
+    result.map(drop)
+}
+
+/// Whatever an executor acknowledged is durable. Each run
+/// returns `Ok`, then the power fails at the very next filesystem
+/// operation, while a caller could still be holding the journal open:
+/// the journal, rolled back to its synced length, must still hold the
+/// reference and every record. And a final commit that fails is never
+/// acknowledged: an `EIO` on the run's last operation — that commit's
+/// sync — fails the run instead of being swallowed.
+#[test]
+fn acknowledged_journal_entries_survive_a_power_cut() {
+    let dir = unique_temp_dir("acknowledged").unwrap();
+    let campaign = sim_campaign(CAMPAIGN, 5);
+    let want = serial_records(&campaign);
+    for executor in [Executor::Shard, Executor::Serial, Executor::Parallel] {
+        let run_dir = |label: &str| {
+            let d = dir.join(format!("{executor:?}-{label}"));
+            std::fs::create_dir_all(&d).unwrap();
+            d
+        };
+        // The operations an executor performs before it returns.
+        let count_dir = run_dir("count");
+        let counting = FaultFs::counting();
+        let mut total = 0;
+        run_executor(
+            executor,
+            &counting,
+            &campaign,
+            &count_dir.join("j.gjl"),
+            || {
+                total = counting.ops();
+            },
+        )
+        .unwrap();
+
+        let cut_dir = run_dir("cut");
+        let path = cut_dir.join("j.gjl");
+        let fault = FaultFs::new(FaultPlan {
+            at: total + 1,
+            kind: FaultKind::PowerCut,
+            seed: 11,
+        });
+        run_executor(executor, &fault, &campaign, &path, || {
+            // The power fails at the next operation after the return.
+            assert!(fault.sync_dir(&cut_dir).is_err());
+        })
+        .unwrap_or_else(|e| panic!("{executor:?}: run failed before the cut: {e}"));
+        assert!(fault.crashed(), "{executor:?}: the cut never fired");
+        let state = journal::ExperimentJournal::load_with(&RealFs, &path, CAMPAIGN)
+            .unwrap_or_else(|e| panic!("{executor:?}: journal lost its head: {e}"));
+        assert!(
+            state.reference.is_some(),
+            "{executor:?}: reference lost by the cut"
+        );
+        assert_eq!(
+            state.completed.len(),
+            want.len(),
+            "{executor:?}: acknowledged records lost by the cut"
+        );
+        for (record, got) in want.iter().zip(state.completed.values()) {
+            assert_eq!(essence(got), essence(record), "{executor:?}");
+        }
+
+        let eio_dir = run_dir("eio");
+        let fault = FaultFs::new(FaultPlan {
+            at: total,
+            kind: FaultKind::Eio,
+            seed: 11,
+        });
+        match run_executor(executor, &fault, &campaign, &eio_dir.join("j.gjl"), || {}) {
+            Err(GoofiError::Io { path, .. }) => assert!(path.starts_with(&eio_dir)),
+            other => panic!("{executor:?}: a failed final commit was acknowledged: {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`RealFs`] counting the syncs issued on one file.
+#[derive(Debug)]
+struct SyncCounter {
+    path: PathBuf,
+    syncs: Arc<AtomicUsize>,
+}
+
+struct CountedFile {
+    file: Box<dyn VfsFile>,
+    syncs: Option<Arc<AtomicUsize>>,
+}
+
+impl VfsFile for CountedFile {
+    fn write_all(&mut self, data: &[u8]) -> std::io::Result<()> {
+        self.file.write_all(data)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        if let Some(syncs) = &self.syncs {
+            syncs.fetch_add(1, Ordering::Relaxed);
+        }
+        self.file.sync()
+    }
+}
+
+impl SyncCounter {
+    fn counted(&self, path: &Path, file: Box<dyn VfsFile>) -> Box<dyn VfsFile> {
+        let syncs = (path == self.path).then(|| Arc::clone(&self.syncs));
+        Box::new(CountedFile { file, syncs })
+    }
+}
+
+impl Vfs for SyncCounter {
+    fn read_to_string(&self, path: &Path) -> std::io::Result<String> {
+        RealFs.read_to_string(path)
+    }
+    fn read_bytes(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        RealFs.read_bytes(path)
+    }
+    fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+        Ok(self.counted(path, RealFs.create(path)?))
+    }
+    fn open_append(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+        Ok(self.counted(path, RealFs.open_append(path)?))
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        RealFs.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        RealFs.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealFs.create_dir_all(path)
+    }
+    fn read_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+        RealFs.read_dir(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        RealFs.exists(path)
+    }
+    fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+        RealFs.sync_dir(path)
+    }
+}
+
+/// The journal syncs once per commit group, not once per
+/// entry. A 200-experiment campaign appends 201 entries (the reference
+/// and 200 records); with the header sync and the executor's final
+/// commit that bounds the journal's syncs by ⌈201 / COMMIT_EVERY⌉ + 2.
+/// A journal syncing every entry issues 202.
+#[test]
+fn journal_syncs_are_bounded_by_commit_groups() {
+    const EXPERIMENTS: usize = 200;
+    let bound = (EXPERIMENTS + 1).div_ceil(COMMIT_EVERY) + 2;
+    let dir = unique_temp_dir("sync-count").unwrap();
+    let campaign = sim_campaign(CAMPAIGN, EXPERIMENTS);
+    for executor in [Executor::Shard, Executor::Serial, Executor::Parallel] {
+        let path = dir.join(format!("{executor:?}.gjl"));
+        let vfs = SyncCounter {
+            path: path.clone(),
+            syncs: Arc::default(),
+        };
+        run_executor(executor, &vfs, &campaign, &path, || {}).unwrap();
+        let syncs = vfs.syncs.load(Ordering::Relaxed);
+        assert!(
+            syncs <= bound,
+            "{executor:?}: {syncs} journal syncs for {EXPERIMENTS} experiments (bound {bound})"
+        );
+        let state = journal::ExperimentJournal::load(&path, CAMPAIGN).unwrap();
+        assert_eq!(state.completed.len(), EXPERIMENTS, "{executor:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite: `ENOSPC`/`EIO` at any operation surface as
