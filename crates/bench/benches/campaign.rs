@@ -10,7 +10,7 @@ use goofi_core::journal::ExperimentJournal;
 use goofi_core::link::{UnreliableTarget, VerifiedTarget, VerifyConfig};
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::preinject;
-use goofi_core::runner;
+use goofi_core::runner::{self, RunOptions, Targets};
 use goofi_core::telemetry::{RingSink, Telemetry, FLIGHT_RECORDER_SPANS};
 use goofi_core::trigger::Trigger;
 use goofi_thor::ThorTarget;
@@ -95,12 +95,14 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         group.bench_function(&format!("workers_{workers}"), |b| {
             b.iter(|| {
-                runner::run_campaign_parallel(
-                    ThorTarget::default,
-                    None::<fn() -> Box<dyn envsim::Environment>>,
+                runner::execute(
                     &campaign,
                     &ProgressMonitor::new(n),
-                    workers,
+                    Targets::factory(ThorTarget::default),
+                    RunOptions {
+                        workers,
+                        ..RunOptions::default()
+                    },
                 )
                 .unwrap()
             });
@@ -137,12 +139,14 @@ fn bench_journal_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut journal = ExperimentJournal::create(&journal_path, &campaign.name).unwrap();
             let mut target = ThorTarget::default();
-            algorithms::run_campaign_journaled(
-                &mut target,
+            runner::execute(
                 &campaign,
                 &ProgressMonitor::new(n),
-                &mut envsim::NullEnvironment,
-                Some(&mut journal),
+                Targets::Own(&mut target, &mut envsim::NullEnvironment),
+                RunOptions {
+                    journal: Some(&mut journal),
+                    ..RunOptions::default()
+                },
             )
             .unwrap()
         });
@@ -151,13 +155,15 @@ fn bench_journal_overhead(c: &mut Criterion) {
     group.bench_function("parallel4_journaled", |b| {
         b.iter(|| {
             let mut journal = ExperimentJournal::create(&journal_path, &campaign.name).unwrap();
-            runner::run_campaign_parallel_journaled(
-                ThorTarget::default,
-                None::<fn() -> Box<dyn envsim::Environment>>,
+            runner::execute(
                 &campaign,
                 &ProgressMonitor::new(n),
-                4,
-                Some(&mut journal),
+                Targets::factory(ThorTarget::default),
+                RunOptions {
+                    workers: 4,
+                    journal: Some(&mut journal),
+                    ..RunOptions::default()
+                },
             )
             .unwrap()
         });

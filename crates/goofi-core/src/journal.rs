@@ -5,7 +5,7 @@
 //! campaign that dies 4 000 experiments into 5 000 would lose everything
 //! since the last save. The journal closes that gap: the campaign driver
 //! appends one entry per finished experiment, so after a crash
-//! [`crate::runner::resume_campaign`] can reload exactly the completed
+//! a resumed [`crate::runner::execute`] can reload exactly the completed
 //! set, skip it, and re-run only what is missing or failed.
 //!
 //! ## Durability: group commit
@@ -16,8 +16,8 @@
 //! `COMMIT_EVERY` entries, at [`ExperimentJournal::commit`], and (best
 //! effort) when it is dropped. An OS crash or power loss therefore rolls
 //! the file back to a synced prefix and costs at most the entries since
-//! the last commit, which resume simply re-runs. The campaign executors
-//! commit on every return path before handing results back, so anything
+//! the last commit, which resume simply re-runs. The campaign executor
+//! commits on every return path before handing results back, so anything
 //! acknowledged *outside* the journal — a worker's `Done` event, a
 //! database save, a resumed run — only ever follows a synced journal.
 //! The cadence counts entries, never time, so a run's filesystem
@@ -25,7 +25,7 @@
 //!
 //! The campaign service ([`crate::service`]) leans on the same property
 //! one level up: each shard worker keeps a private journal under
-//! [`crate::runner::resume_campaign_shard`] (entries carry *global*
+//! [`crate::runner::execute`] over its index range (entries carry *global*
 //! campaign indices), so a crashed or lease-revoked worker's replacement
 //! replays the journal instead of redoing its work, and the scheduler
 //! merges shard journals into the database idempotently via
@@ -192,6 +192,33 @@ impl ExperimentJournal {
             path,
             unsynced: 0,
         })
+    }
+
+    /// Opens the journal at `path` to resume `campaign` from it: what the
+    /// journal already holds, plus the journal open for appending. A
+    /// missing file starts a fresh journal. An existing one is salvaged
+    /// first, because a crash can leave a torn or garbled line mid-file and
+    /// anything appended after it would be invisible to every later load; a
+    /// file that is not recognisably a journal is quarantined aside and a
+    /// fresh journal started (see [`salvage_with`]).
+    ///
+    /// # Errors
+    ///
+    /// I/O errors and a journal recorded for another campaign.
+    pub fn reopen_with(
+        vfs: &dyn Vfs,
+        path: impl AsRef<Path>,
+        campaign: &str,
+    ) -> Result<(Self, JournalState)> {
+        let path = path.as_ref();
+        if vfs.exists(path) {
+            salvage_with(vfs, path)?;
+        }
+        if !vfs.exists(path) {
+            Self::create_with(vfs, path, campaign)?;
+        }
+        let state = Self::load_with(vfs, path, campaign)?;
+        Ok((Self::open_append_with(vfs, path)?, state))
     }
 
     /// The journal's file path.

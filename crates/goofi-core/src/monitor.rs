@@ -57,8 +57,8 @@ pub struct Progress {
     /// Power-cycle recovery attempts applied.
     pub power_cycles: usize,
     /// Targets that exhausted the recovery ladder and went offline
-    /// (the parallel runner retires the worker and redistributes its
-    /// remaining experiments).
+    /// (with several workers, the executor retires the worker and
+    /// redistributes its remaining experiments).
     pub targets_offline: usize,
     /// Completed experiments per termination cause (encoded form).
     pub by_termination: BTreeMap<String, usize>,

@@ -10,14 +10,14 @@
 //! `goofi worker` process under a lease-and-heartbeat discipline
 //! ([`scheduler`]):
 //!
-//! - Each shard runs under its own [`ExperimentJournal`]
-//!   (crate::journal::ExperimentJournal) via
-//!   [`runner::resume_campaign_shard`](crate::runner::resume_campaign_shard),
-//!   so journal entries keep their global campaign indices.
+//! - Each shard runs under its own
+//!   [`ExperimentJournal`](crate::journal::ExperimentJournal) via
+//!   [`runner::execute`](crate::runner::execute) over the shard's index
+//!   range, so journal entries keep their global campaign indices.
 //! - A worker renews its lease by reporting progress on stdout. A worker
 //!   that crashes, hangs past its lease deadline, or reports the target
 //!   offline gets its shard revoked and reassigned with exponential
-//!   backoff — the process-level twin of the parallel runner's
+//!   backoff — the process-level twin of the executor's
 //!   worker-retirement.
 //! - At-least-once execution is made idempotent by the journal: a
 //!   reassigned shard replays its journal and re-runs only what is

@@ -13,7 +13,7 @@
 //!   reports `target-offline` has its lease revoked: the process is
 //!   killed (if still alive) and the shard goes back to pending with
 //!   exponential backoff ([`crate::policy::Backoff`]) — the process-level
-//!   generalisation of the parallel runner's worker retirement.
+//!   generalisation of the executor's worker retirement.
 //! - **Poison shards.** A shard failing [`ServiceConfig::poison_after`]
 //!   consecutive leases is quarantined instead of wedging the job: every
 //!   experiment it still owes is recorded in its journal as a

@@ -417,8 +417,8 @@ pub struct Client {
 impl Client {
     /// Connects to a daemon at `addr` (e.g. `127.0.0.1:4711`) over plain
     /// TCP, retrying with jittered bounded exponential backoff, and
-    /// performs the hello handshake. Each attempt is capped at
-    /// [`CONNECT_TIMEOUT`] and the connection gets a read timeout so a
+    /// performs the hello handshake. Each attempt is capped at two seconds
+    /// and the connection gets a read timeout so a
     /// wedged daemon cannot hang the client forever.
     ///
     /// # Errors
@@ -858,7 +858,7 @@ pub fn request_shutdown_with(
 /// # Errors
 ///
 /// [`GoofiError::Wire`] when the daemon does not know the job or
-/// [`SESSION_RETRIES`] consecutive reconnects fail.
+/// eight consecutive reconnects fail.
 pub fn watch_to_end(
     transport: &dyn Transport,
     addr: &str,

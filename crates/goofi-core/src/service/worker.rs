@@ -2,26 +2,27 @@
 //!
 //! A worker is one OS process owning one shard of a campaign's experiment
 //! index space. It loads the campaign from the shared database, runs its
-//! shard via [`runner::resume_campaign_shard`] under a private journal,
+//! shard's index range via [`runner::execute`] under a private journal,
 //! and streams [`WorkerEvent`] lines on stdout — the daemon reads them to
 //! renew the shard lease and aggregate job progress. The binary wrapping
 //! [`run_worker`] chooses the target system (`goofi worker` builds the
 //! Thor simulator; the test binary builds
 //! [`SimTarget`](crate::framework::SimTarget)), which is all that differs
 //! between production and test workers.
-//!
-//! [`runner::resume_campaign_shard`]: crate::runner::resume_campaign_shard
 
 use super::chaos::{ChaosConfig, ChaosMode, CHAOS_EXIT_CODE};
 use super::net::{encode_frame, FaultInjector, FaultWriter, NetFaultConfig};
 use super::wire::WorkerEvent;
 use crate::campaign::Campaign;
 use crate::dbio;
+use crate::golden::GoldenCache;
 use crate::journal::ExperimentJournal;
 use crate::monitor::{Progress, ProgressMonitor};
-use crate::runner;
+use crate::runner::{self, RunOptions, Targets};
 use crate::target::TargetAccess;
+use crate::vfs::RealFs;
 use crate::{GoofiError, Result};
+use envsim::{Environment, NullEnvironment};
 use parking_lot::Mutex;
 use std::io::Write;
 use std::ops::Range;
@@ -234,18 +235,16 @@ where
         attempt: args.attempt,
     });
 
+    let (mut journal, state) =
+        ExperimentJournal::reopen_with(&RealFs, &args.journal, &campaign.name)?;
     // Experiments already journaled count as "replayed", not "fresh":
     // both the chaos kill point and nothing else depend on the split, but
     // the distinction is what makes drills re-kill only on new work.
-    let baseline = if args.journal.exists() {
-        ExperimentJournal::load(&args.journal, &args.campaign)?
-            .completed
-            .keys()
-            .filter(|index| range.contains(index))
-            .count()
-    } else {
-        0
-    };
+    let baseline = state
+        .completed
+        .keys()
+        .filter(|index| range.contains(index))
+        .count();
 
     // Progress streamer: one event per counter change, ending with the
     // final counters once the shard's run has returned.
@@ -313,15 +312,20 @@ where
         });
     }
 
-    let result = runner::resume_campaign_shard(
-        &make_target,
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let cache = GoldenCache::new(&RealFs, &args.journal, &campaign, NullEnvironment.name());
+    let result = runner::execute(
         &campaign,
         &monitor,
-        1,
-        &args.journal,
-        range,
+        Targets::factory(make_target),
+        RunOptions {
+            range,
+            journal: Some(&mut journal),
+            resume: Some(state),
+            cache: Some(&cache),
+            ..RunOptions::default()
+        },
     );
+    drop(journal);
     // The run committed its journal before returning, so everything the
     // final events report is durable. Wake the streamer now rather than
     // at its next timeout.

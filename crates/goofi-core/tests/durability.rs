@@ -25,10 +25,11 @@ use goofi_core::dbio;
 use goofi_core::fault::{FaultLocation, FaultSpec};
 use goofi_core::framework::SimTarget;
 use goofi_core::fsck::{self, CorruptionClass};
+use goofi_core::golden::GoldenCache;
 use goofi_core::journal;
 use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
-use goofi_core::runner;
+use goofi_core::runner::{self, RunOptions, Targets};
 use goofi_core::vfs::{unique_temp_dir, FaultFs, FaultKind, FaultPlan, RealFs, Vfs, VfsFile};
 use goofi_core::GoofiError;
 use proptest::prelude::*;
@@ -120,6 +121,30 @@ fn assert_essence_equal(db_path: &Path, campaign: &str, want: &[ExperimentRecord
     }
 }
 
+/// Runs `campaign` as a service shard worker does: the journal at `path`
+/// on `vfs` reopened (created, or salvaged and loaded), the golden cache
+/// beside it, and the journal closed again before returning.
+fn run_shard(
+    vfs: &dyn Vfs,
+    campaign: &Campaign,
+    path: &Path,
+) -> goofi_core::Result<goofi_core::algorithms::CampaignResult> {
+    let monitor = ProgressMonitor::new(campaign.experiment_count());
+    let (mut journal, state) = journal::ExperimentJournal::reopen_with(vfs, path, &campaign.name)?;
+    let cache = GoldenCache::new(vfs, path, campaign, "none");
+    runner::execute(
+        campaign,
+        &monitor,
+        Targets::factory(SimTarget::new),
+        RunOptions {
+            journal: Some(&mut journal),
+            resume: Some(state),
+            cache: Some(&cache),
+            ..RunOptions::default()
+        },
+    )
+}
+
 /// One full persistence cycle over `vfs`: a journaled (resuming) run, then
 /// merge the journal into the database file with an atomic checksummed
 /// save. Exactly the sequence every crash in this harness interrupts.
@@ -129,17 +154,7 @@ fn run_and_persist(
     db_path: &Path,
     journal_path: &Path,
 ) -> goofi_core::Result<()> {
-    let monitor = ProgressMonitor::new(campaign.experiment_count());
-    runner::resume_campaign_shard_vfs(
-        SimTarget::new,
-        None::<fn() -> Box<dyn envsim::Environment>>,
-        campaign,
-        &monitor,
-        1,
-        vfs,
-        journal_path,
-        0..campaign.experiment_count(),
-    )?;
+    run_shard(vfs, campaign, journal_path)?;
     let mut db = if vfs.exists(db_path) {
         dbio::load_database(vfs, db_path)?
     } else {
@@ -277,38 +292,32 @@ fn run_executor(
     path: &Path,
     after: impl FnOnce(),
 ) -> goofi_core::Result<()> {
-    let monitor = ProgressMonitor::new(campaign.experiment_count());
-    let no_env = None::<fn() -> Box<dyn envsim::Environment>>;
     if let Executor::Shard = executor {
-        let result = runner::resume_campaign_shard_vfs(
-            SimTarget::new,
-            no_env,
-            campaign,
-            &monitor,
-            1,
-            vfs,
-            path,
-            0..campaign.experiment_count(),
-        );
+        let result = run_shard(vfs, campaign, path);
         after();
         return result.map(drop);
     }
+    let monitor = ProgressMonitor::new(campaign.experiment_count());
     let mut journal = journal::ExperimentJournal::create_with(vfs, path, &campaign.name)?;
     let result = match executor {
-        Executor::Serial => algorithms::run_campaign_journaled(
-            &mut SimTarget::new(),
+        Executor::Serial => runner::execute(
             campaign,
             &monitor,
-            &mut envsim::NullEnvironment,
-            Some(&mut journal),
+            Targets::Own(&mut SimTarget::new(), &mut envsim::NullEnvironment),
+            RunOptions {
+                journal: Some(&mut journal),
+                ..RunOptions::default()
+            },
         ),
-        _ => runner::run_campaign_parallel_journaled(
-            SimTarget::new,
-            no_env,
+        _ => runner::execute(
             campaign,
             &monitor,
-            2,
-            Some(&mut journal),
+            Targets::factory(SimTarget::new),
+            RunOptions {
+                workers: 2,
+                journal: Some(&mut journal),
+                ..RunOptions::default()
+            },
         ),
     };
     after();

@@ -14,6 +14,7 @@
 
 use goofi_core::algorithms;
 use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
+use goofi_core::dbio;
 use goofi_core::fault::{FaultLocation, FaultModel, FaultSpec};
 use goofi_core::journal::ExperimentJournal;
 use goofi_core::link::{UnreliableTarget, VerifiedTarget, VerifyConfig};
@@ -21,8 +22,9 @@ use goofi_core::logging::Validity;
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::policy::ExperimentPolicy;
 use goofi_core::preinject::StepAccess;
+use goofi_core::runner::{self, RunOptions, Targets};
 use goofi_core::trigger::Trigger;
-use goofi_core::{dbio, runner};
+use goofi_core::vfs::RealFs;
 use goofi_core::{GoofiError, RunBudget, RunEvent, TargetAccess};
 use goofidb::Database;
 use scanchain::{BitVec, CellAccess, ChainLayout, LinkFaultConfig};
@@ -305,12 +307,14 @@ fn golden_run_drift_quarantines_window_and_reruns_with_parent_links() {
     let _ = std::fs::remove_file(&journal_path);
     let mut journal = ExperimentJournal::create(&journal_path, "lossy").unwrap();
     let monitor = ProgressMonitor::new(4);
-    let result = algorithms::run_campaign_journaled(
-        &mut target,
+    let result = runner::execute(
         &c,
         &monitor,
-        &mut envsim::NullEnvironment,
-        Some(&mut journal),
+        Targets::Own(&mut target, &mut envsim::NullEnvironment),
+        RunOptions {
+            journal: Some(&mut journal),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     drop(journal);
@@ -364,6 +368,72 @@ fn golden_run_drift_quarantines_window_and_reruns_with_parent_links() {
 }
 
 #[test]
+fn one_worker_resume_revalidates_every_window_on_its_own_target() {
+    // The drift schedule of the test above, run twice: fresh on a
+    // caller-owned target, and as `goofi resume --workers 1` or a service
+    // shard runs it, from a missing journal with a golden cache beside
+    // it. Both must check the golden run after every two experiments on
+    // their own target, so both quarantine experiments 0-1 at load 4. A
+    // single end-of-run check on a fresh target would come back clean and
+    // keep experiment 2's drifted output as valid.
+    let c = campaign_n(4, ExperimentPolicy::default().with_revalidation(2));
+    let dir = goofi_core::vfs::unique_temp_dir("link-window-resume").unwrap();
+
+    let fresh_path = dir.join("fresh.gjl");
+    let mut journal = ExperimentJournal::create(&fresh_path, "lossy").unwrap();
+    let mut target = LabTarget::drifting(200, 4..5, Arc::new(AtomicU64::new(0)));
+    let fresh = runner::execute(
+        &c,
+        &ProgressMonitor::new(4),
+        Targets::Own(&mut target, &mut envsim::NullEnvironment),
+        RunOptions {
+            journal: Some(&mut journal),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    drop(journal);
+
+    let resumed_path = dir.join("resumed.gjl");
+    let (mut journal, state) =
+        ExperimentJournal::reopen_with(&RealFs, &resumed_path, "lossy").unwrap();
+    let cache = goofi_core::golden::GoldenCache::new(&RealFs, &resumed_path, &c, "none");
+    let loads = Arc::new(AtomicU64::new(0));
+    let monitor = ProgressMonitor::new(4);
+    let resumed = runner::execute(
+        &c,
+        &monitor,
+        Targets::factory(move || LabTarget::drifting(200, 4..5, loads.clone())),
+        RunOptions {
+            journal: Some(&mut journal),
+            resume: Some(state),
+            cache: Some(&cache),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    drop(journal);
+
+    assert_eq!(resumed.records, fresh.records);
+    assert_eq!(resumed.quarantined, fresh.quarantined);
+    assert_eq!(resumed.records[0].name, "lossy/exp00000/rerun1");
+    assert_eq!(resumed.records[1].name, "lossy/exp00001/rerun1");
+    assert_eq!(resumed.records[2].name, "lossy/exp00002");
+    assert!(resumed
+        .records
+        .iter()
+        .all(|r| r.validity == Validity::Valid));
+    assert_eq!(resumed.quarantined.len(), 2);
+    assert_eq!(monitor.snapshot().quarantined, 2);
+    assert_eq!(
+        std::fs::read_to_string(&resumed_path).unwrap(),
+        std::fs::read_to_string(&fresh_path).unwrap(),
+        "the resumed journal must equal the fresh run's"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn interrupted_quarantine_is_finished_by_resume() {
     // Run the drifting campaign, then truncate the journal right after the
     // two quarantine marks (simulating a crash mid-revalidation): resume
@@ -373,12 +443,14 @@ fn interrupted_quarantine_is_finished_by_resume() {
     let journal_path = temp_path("crashed-quarantine.gjl");
     let _ = std::fs::remove_file(&journal_path);
     let mut journal = ExperimentJournal::create(&journal_path, "lossy").unwrap();
-    algorithms::run_campaign_journaled(
-        &mut target,
+    runner::execute(
         &c,
         &ProgressMonitor::new(4),
-        &mut envsim::NullEnvironment,
-        Some(&mut journal),
+        Targets::Own(&mut target, &mut envsim::NullEnvironment),
+        RunOptions {
+            journal: Some(&mut journal),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     drop(journal);
@@ -390,13 +462,18 @@ fn interrupted_quarantine_is_finished_by_resume() {
     let crashed = temp_path("crashed-quarantine-cut.gjl");
     std::fs::write(&crashed, format!("{}\n", lines[..7].join("\n"))).unwrap();
 
-    let resumed = runner::resume_campaign(
-        || LabTarget::new(200),
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let (mut journal_file, state) =
+        ExperimentJournal::reopen_with(&RealFs, &crashed, &c.name).unwrap();
+    let resumed = runner::execute(
         &c,
         &ProgressMonitor::new(4),
-        2,
-        &crashed,
+        Targets::factory(|| LabTarget::new(200)),
+        RunOptions {
+            workers: 2,
+            journal: Some(&mut journal_file),
+            resume: Some(state),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     assert_eq!(resumed.records.len(), 4);
@@ -416,12 +493,14 @@ fn parallel_runner_quarantines_on_end_of_run_drift() {
     let loads = Arc::new(AtomicU64::new(0));
     let make_loads = loads.clone();
     let monitor = ProgressMonitor::new(4);
-    let result = runner::run_campaign_parallel(
-        move || LabTarget::drifting(200, 6..u64::MAX, make_loads.clone()),
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let result = runner::execute(
         &c,
         &monitor,
-        2,
+        Targets::factory(move || LabTarget::drifting(200, 6..u64::MAX, make_loads.clone())),
+        RunOptions {
+            workers: 2,
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     assert_eq!(result.records.len(), 4);

@@ -4,14 +4,16 @@
 
 use goofi_core::algorithms::{self, CampaignResult};
 use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
+use goofi_core::dbio;
 use goofi_core::fault::{FaultLocation, FaultModel, FaultSpec};
 use goofi_core::journal::ExperimentJournal;
 use goofi_core::logging::TerminationCause;
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::policy::{ExperimentPolicy, WatchdogBudget};
 use goofi_core::preinject::StepAccess;
+use goofi_core::runner::{self, RunOptions, Targets};
 use goofi_core::trigger::Trigger;
-use goofi_core::{dbio, runner};
+use goofi_core::vfs::RealFs;
 use goofi_core::{GoofiError, RunBudget, RunEvent, TargetAccess};
 use goofidb::Database;
 use scanchain::{BitVec, CellAccess, ChainLayout};
@@ -366,12 +368,14 @@ fn parallel_runner_reports_lowest_index_failure_with_partials() {
         t
     };
     let c = campaign_n(6, ExperimentPolicy::fail_fast());
-    let err = runner::run_campaign_parallel(
-        make_target,
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let err = runner::execute(
         &c,
         &ProgressMonitor::new(6),
-        2,
+        Targets::factory(make_target),
+        RunOptions {
+            workers: 2,
+            ..RunOptions::default()
+        },
     )
     .unwrap_err();
     match err {
@@ -396,12 +400,14 @@ fn parallel_runner_skip_policy_matches_serial() {
     let c = campaign_n(6, ExperimentPolicy::skip_and_continue());
     let mut serial_target = make_target();
     let serial = run_serial(&mut serial_target, &c, &ProgressMonitor::new(6)).unwrap();
-    let parallel = runner::run_campaign_parallel(
-        make_target,
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let parallel = runner::execute(
         &c,
         &ProgressMonitor::new(6),
-        3,
+        Targets::factory(make_target),
+        RunOptions {
+            workers: 3,
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     assert_eq!(serial, parallel);
@@ -419,12 +425,14 @@ fn resume_reruns_failed_experiments_as_linked_children() {
     let mut flaky = FlakyTarget::new(200);
     flaky.fail_plan.insert(trigger_of(1), u32::MAX);
     let mut j = ExperimentJournal::create(&journal, "mock").unwrap();
-    let first = algorithms::run_campaign_journaled(
-        &mut flaky,
+    let first = runner::execute(
         &c,
         &ProgressMonitor::new(3),
-        &mut envsim::NullEnvironment,
-        Some(&mut j),
+        Targets::Own(&mut flaky, &mut envsim::NullEnvironment),
+        RunOptions {
+            journal: Some(&mut j),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     drop(j);
@@ -432,13 +440,18 @@ fn resume_reruns_failed_experiments_as_linked_children() {
 
     // The flakiness is gone; resume re-runs experiment 1 as a child of
     // the original experiment (paper §2.3 parentExperiment linking).
-    let resumed = runner::resume_campaign(
-        || FlakyTarget::new(200),
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let (mut journal_file, state) =
+        ExperimentJournal::reopen_with(&RealFs, &journal, &c.name).unwrap();
+    let resumed = runner::execute(
         &c,
         &ProgressMonitor::new(3),
-        2,
-        &journal,
+        Targets::factory(|| FlakyTarget::new(200)),
+        RunOptions {
+            workers: 2,
+            journal: Some(&mut journal_file),
+            resume: Some(state),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     assert_eq!(resumed.records.len(), 3);
@@ -474,12 +487,14 @@ fn resume_after_any_crash_point_reproduces_the_uninterrupted_run() {
     // Uninterrupted journaled run — the ground truth.
     let mut target = FlakyTarget::new(200);
     let mut j = ExperimentJournal::create(&journal, "mock").unwrap();
-    let full = algorithms::run_campaign_journaled(
-        &mut target,
+    let full = runner::execute(
         &c,
         &ProgressMonitor::new(6),
-        &mut envsim::NullEnvironment,
-        Some(&mut j),
+        Targets::Own(&mut target, &mut envsim::NullEnvironment),
+        RunOptions {
+            journal: Some(&mut j),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     drop(j);
@@ -493,13 +508,18 @@ fn resume_after_any_crash_point_reproduces_the_uninterrupted_run() {
     for crash_after in 2..=lines.len() {
         let partial = temp_path(&format!("crash-{crash_after}.gjl"));
         std::fs::write(&partial, format!("{}\n", lines[..crash_after].join("\n"))).unwrap();
-        let resumed = runner::resume_campaign(
-            || FlakyTarget::new(200),
-            None::<fn() -> Box<dyn envsim::Environment>>,
+        let (mut journal_file, state) =
+            ExperimentJournal::reopen_with(&RealFs, &partial, &c.name).unwrap();
+        let resumed = runner::execute(
             &c,
             &ProgressMonitor::new(6),
-            2,
-            &partial,
+            Targets::factory(|| FlakyTarget::new(200)),
+            RunOptions {
+                workers: 2,
+                journal: Some(&mut journal_file),
+                resume: Some(state),
+                ..RunOptions::default()
+            },
         )
         .unwrap_or_else(|e| panic!("resume after {crash_after} lines: {e}"));
         assert_eq!(resumed, full, "crash after {crash_after} journal lines");
@@ -512,13 +532,18 @@ fn resume_after_any_crash_point_reproduces_the_uninterrupted_run() {
     // A crash mid-append (torn final line) resumes identically too.
     let torn = temp_path("crash-torn.gjl");
     std::fs::write(&torn, &text[..text.len() - 9]).unwrap();
-    let resumed = runner::resume_campaign(
-        || FlakyTarget::new(200),
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let (mut journal_file, state) =
+        ExperimentJournal::reopen_with(&RealFs, &torn, &c.name).unwrap();
+    let resumed = runner::execute(
         &c,
         &ProgressMonitor::new(6),
-        2,
-        &torn,
+        Targets::factory(|| FlakyTarget::new(200)),
+        RunOptions {
+            workers: 2,
+            journal: Some(&mut journal_file),
+            resume: Some(state),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     assert_eq!(resumed, full, "torn journal tail");
@@ -532,13 +557,18 @@ fn resume_on_a_missing_journal_runs_the_full_campaign() {
     let c = campaign_n(3, ExperimentPolicy::default());
     let mut target = FlakyTarget::new(200);
     let serial = run_serial(&mut target, &c, &ProgressMonitor::new(3)).unwrap();
-    let resumed = runner::resume_campaign(
-        || FlakyTarget::new(200),
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let (mut journal_file, state) =
+        ExperimentJournal::reopen_with(&RealFs, &journal, &c.name).unwrap();
+    let resumed = runner::execute(
         &c,
         &ProgressMonitor::new(3),
-        2,
-        &journal,
+        Targets::factory(|| FlakyTarget::new(200)),
+        RunOptions {
+            workers: 2,
+            journal: Some(&mut journal_file),
+            resume: Some(state),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     assert_eq!(resumed, serial);

@@ -12,9 +12,10 @@ use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::policy::{ExperimentPolicy, WatchdogBudget};
 use goofi_core::preinject::StepAccess;
-use goofi_core::runner;
+use goofi_core::runner::{self, RunOptions, Targets};
 use goofi_core::supervisor::{RecoveryStage, RecoveryTrigger, Supervisor, WedgeableTarget};
 use goofi_core::trigger::Trigger;
+use goofi_core::vfs::RealFs;
 use goofi_core::{GoofiError, RunBudget, RunEvent, TargetAccess};
 use scanchain::{BitVec, CellAccess, ChainLayout, RecoveryDepth, WedgeConfig, WedgeModel};
 use std::path::PathBuf;
@@ -422,12 +423,14 @@ fn parallel_runner_retires_offline_worker_and_redistributes_its_shard() {
         WedgeableTarget::new(MockTarget::new(200), config)
     };
     let monitor = ProgressMonitor::new(6);
-    let result = runner::run_campaign_parallel(
-        make_target,
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let result = runner::execute(
         &c,
         &monitor,
-        2,
+        Targets::factory(make_target),
+        RunOptions {
+            workers: 2,
+            ..RunOptions::default()
+        },
     )
     .unwrap();
 
@@ -477,12 +480,14 @@ fn parallel_runner_fails_only_when_every_target_is_offline() {
         WedgeableTarget::new(MockTarget::new(200), config)
     };
     let monitor = ProgressMonitor::new(6);
-    let err = runner::run_campaign_parallel(
-        make_target,
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let err = runner::execute(
         &c,
         &monitor,
-        2,
+        Targets::factory(make_target),
+        RunOptions {
+            workers: 2,
+            ..RunOptions::default()
+        },
     )
     .unwrap_err();
     match err {
@@ -510,12 +515,14 @@ fn resume_after_crash_mid_recovery_reruns_the_quarantined_hang() {
         one_hang_config(RecoveryDepth::PowerCycle),
     );
     let mut j = ExperimentJournal::create(&journal, "mock").unwrap();
-    let full = algorithms::run_campaign_journaled(
-        &mut wedged,
+    let full = runner::execute(
         &c,
         &ProgressMonitor::new(4),
-        &mut envsim::NullEnvironment,
-        Some(&mut j),
+        Targets::Own(&mut wedged, &mut envsim::NullEnvironment),
+        RunOptions {
+            journal: Some(&mut j),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     drop(j);
@@ -550,13 +557,18 @@ fn resume_after_crash_mid_recovery_reruns_the_quarantined_hang() {
     // linked child the uninterrupted run produced, and the campaign
     // completes with identical records.
     let monitor = ProgressMonitor::new(4);
-    let resumed = runner::resume_campaign(
-        || MockTarget::new(200),
-        None::<fn() -> Box<dyn envsim::Environment>>,
+    let (mut journal_file, state) =
+        ExperimentJournal::reopen_with(&RealFs, &crashed, &c.name).unwrap();
+    let resumed = runner::execute(
         &c,
         &monitor,
-        2,
-        &crashed,
+        Targets::factory(|| MockTarget::new(200)),
+        RunOptions {
+            workers: 2,
+            journal: Some(&mut journal_file),
+            resume: Some(state),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     assert_eq!(resumed.records, full.records);

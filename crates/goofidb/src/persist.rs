@@ -8,10 +8,11 @@
 //!
 //! Each table block ends with a `CHECK <fnv32>` footer over its ROW lines:
 //! the strict [`load`] verifies it (detecting bit rot and torn rewrites)
-//! and [`load_lenient`] salvages around damage row by row, reporting every
-//! skipped piece as a [`PersistIssue`] so `goofi fsck` can classify and
-//! quarantine rather than silently drop data. Files written before the
-//! footer existed (no CHECK line) still load.
+//! and [`Database::load_from_string_lenient`] salvages around damage row
+//! by row, reporting every skipped piece as a [`PersistIssue`] so
+//! `goofi fsck` can classify and quarantine rather than silently drop
+//! data. Files written before the footer existed (no CHECK line) still
+//! load.
 
 use crate::codec::{escape_into, fnv1a, fnv1a_update, unescape, FNV1A_INIT};
 use crate::schema::{ColumnDef, ColumnType, ForeignKey, TableSchema};
@@ -171,7 +172,7 @@ impl IssueKind {
     }
 }
 
-/// One piece of damage a [`load_lenient`] call salvaged around.
+/// One piece of damage a [`Database::load_from_string_lenient`] call salvaged around.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistIssue {
     /// Table the damage was found in (empty for file-level damage).

@@ -17,18 +17,21 @@
 use goofi::analysis::{queries, report};
 use goofi::core::algorithms;
 use goofi::core::campaign::{Campaign, OutputRegion, TargetSystemData, Technique, Termination};
+use goofi::core::dbio;
+use goofi::core::golden::GoldenCache;
 use goofi::core::journal::ExperimentJournal;
 use goofi::core::link::{UnreliableTarget, VerifiedTarget};
 use goofi::core::logging::LoggingMode;
 use goofi::core::monitor::ProgressMonitor;
 use goofi::core::policy::{Backoff, ExperimentPolicy, WatchdogBudget};
+use goofi::core::runner::{self, RunOptions, Targets};
 use goofi::core::service::{
     self, ChaosConfig, FaultNet, NetFaultConfig, RealNet, Response, Scheduler, ServiceConfig,
     Transport, WorkerArgs, WorkerCommand,
 };
 use goofi::core::supervisor::WedgeableTarget;
 use goofi::core::telemetry::{JsonlSink, MetricsSnapshot, RingSink, Stage, Telemetry, TraceSink};
-use goofi::core::{dbio, runner};
+use goofi::core::vfs::RealFs;
 use goofi::core::{GoofiError, TargetAccess};
 use goofi::envsim::{DcMotor, Environment, JetEngine, NullEnvironment, WaterTank};
 use goofi::goofi_riscv::RiscvTarget;
@@ -409,6 +412,30 @@ fn decorate_target(
     }
 }
 
+/// The campaign's targets: one decorated target per worker (and, with
+/// more than one worker, for the reference run), numbered in creation
+/// order so seeded fault models differ per worker, each paired with an
+/// `env_kind` environment.
+fn target_factory<'a>(
+    kind: TargetKind,
+    wedge: Option<WedgeConfig>,
+    link: Option<LinkFaultConfig>,
+    verify: bool,
+    monitor: &'a ProgressMonitor,
+    env_kind: Option<String>,
+) -> Targets<'a, Box<dyn TargetAccess>> {
+    let worker_seq = std::sync::atomic::AtomicU64::new(0);
+    Targets::factory(move || {
+        let worker = worker_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        decorate_target(kind, wedge, link, verify, monitor, worker)
+    })
+    .with_env(move || {
+        // Validated before the run started; a NullEnvironment fallback
+        // keeps a worker thread from panicking regardless.
+        make_env(env_kind.as_deref()).unwrap_or_else(|_| Box::new(NullEnvironment))
+    })
+}
+
 /// Stores whatever a failed campaign completed before erroring out, so an
 /// aborted run never throws away finished experiments.
 fn salvage_partial(db: &mut Database, db_path: &str, err: GoofiError) -> String {
@@ -694,67 +721,34 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     );
 
     let env_kind = flags.get("env").cloned();
-    make_env(env_kind.as_deref())?; // validate before the workers clone it
+    // Validated once here, before the workers build their own.
+    let env_name = make_env(env_kind.as_deref())?.name().to_string();
     let (link, verify) = link_flags(&flags)?;
     let wedge = wedge_flag(&flags)?;
     let journal_path = flags.get("journal").cloned();
     let snapshots = !flags.contains_key("no-snapshot");
     let started = std::time::Instant::now();
-    let result = if workers <= 1 {
-        let mut target = decorate_target(kind, wedge, link, verify, &monitor, 0);
-        let mut env = make_env(env_kind.as_deref())?;
-        let mut journal = match &journal_path {
-            Some(p) => {
-                Some(ExperimentJournal::create(p, &campaign.name).map_err(|e| e.to_string())?)
-            }
-            None => None,
-        };
-        // The golden cache lives next to the journal; a journal-less run
-        // has nowhere durable to keep it.
-        let cache = journal_path.as_ref().map(|p| {
-            goofi::core::golden::GoldenCache::new(
-                &goofi::core::vfs::RealFs,
-                Path::new(p.as_str()),
-                &campaign,
-                env.name(),
-            )
-        });
-        algorithms::run_campaign_journaled_opts(
-            &mut target,
-            &campaign,
-            &monitor,
-            env.as_mut(),
-            journal.as_mut(),
-            cache.as_ref(),
-            snapshots,
-        )
-    } else {
-        let env_kind2 = env_kind.clone();
-        let mut journal = match &journal_path {
-            Some(p) => {
-                Some(ExperimentJournal::create(p, &campaign.name).map_err(|e| e.to_string())?)
-            }
-            None => None,
-        };
-        let worker_seq = std::sync::atomic::AtomicU64::new(0);
-        let make_monitor = monitor.clone();
-        runner::run_campaign_parallel_journaled_opts(
-            move || {
-                let worker = worker_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                decorate_target(kind, wedge, link, verify, &make_monitor, worker)
-            },
-            Some(move || {
-                // Validated before the workers started; a NullEnvironment
-                // fallback keeps a worker thread from panicking regardless.
-                make_env(env_kind2.as_deref()).unwrap_or_else(|_| Box::new(NullEnvironment))
-            }),
-            &campaign,
-            &monitor,
-            workers,
-            journal.as_mut(),
-            snapshots,
-        )
+    let mut journal = match &journal_path {
+        Some(p) => Some(ExperimentJournal::create(p, &campaign.name).map_err(|e| e.to_string())?),
+        None => None,
     };
+    // The golden cache lives next to the journal; a journal-less run has
+    // nowhere durable to keep it.
+    let cache = journal_path
+        .as_ref()
+        .map(|p| GoldenCache::new(&RealFs, Path::new(p.as_str()), &campaign, &env_name));
+    let result = runner::execute(
+        &campaign,
+        &monitor,
+        target_factory(kind, wedge, link, verify, &monitor, env_kind),
+        RunOptions {
+            workers: workers.max(1),
+            journal: journal.as_mut(),
+            cache: cache.as_ref(),
+            snapshots,
+            ..RunOptions::default()
+        },
+    );
     let result = result
         .map_err(|e| dump_flight(&tel, &flags, db_path, salvage_partial(&mut db, db_path, e)))?;
     finish_run(
@@ -788,17 +782,15 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     let monitor = ProgressMonitor::with_telemetry(campaign.experiment_count(), tel.clone());
     stop_on_signal(&monitor);
     let env_kind = flags.get("env").cloned();
-    make_env(env_kind.as_deref())?; // validate before the workers clone it
+    // Validated once here, before the workers build their own.
+    let env_name = make_env(env_kind.as_deref())?.name().to_string();
     let (link, verify) = link_flags(&flags)?;
     let wedge = wedge_flag(&flags)?;
     // Auto-fsck: salvage a torn/garbled journal before resuming from it,
-    // and tell the operator what was dropped. (The runner re-checks through
-    // its own VFS; this pass makes the repair visible.)
-    let salvage = goofi::core::journal::salvage_with(
-        &goofi::core::vfs::RealFs,
-        Path::new(journal_path.as_str()),
-    )
-    .map_err(|e| e.to_string())?;
+    // and tell the operator what was dropped. (Reopening the journal
+    // re-checks it; this pass makes the repair visible.)
+    let salvage = goofi::core::journal::salvage_with(&RealFs, Path::new(journal_path.as_str()))
+        .map_err(|e| e.to_string())?;
     if let Some(quarantined) = &salvage.quarantined {
         println!(
             "journal {journal_path} was not recognisable; quarantined to {} and starting fresh",
@@ -816,18 +808,26 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     );
 
     let started = std::time::Instant::now();
-    let worker_seq = std::sync::atomic::AtomicU64::new(0);
-    let make_monitor = monitor.clone();
-    let result = runner::resume_campaign(
-        move || {
-            let worker = worker_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            decorate_target(kind, wedge, link, verify, &make_monitor, worker)
-        },
-        Some(move || make_env(env_kind.as_deref()).unwrap_or_else(|_| Box::new(NullEnvironment))),
+    let (mut journal, state) =
+        ExperimentJournal::reopen_with(&RealFs, journal_path, &campaign.name)
+            .map_err(|e| e.to_string())?;
+    let cache = GoldenCache::new(
+        &RealFs,
+        Path::new(journal_path.as_str()),
+        &campaign,
+        &env_name,
+    );
+    let result = runner::execute(
         &campaign,
         &monitor,
-        workers,
-        journal_path,
+        target_factory(kind, wedge, link, verify, &monitor, env_kind),
+        RunOptions {
+            workers,
+            journal: Some(&mut journal),
+            resume: Some(state),
+            cache: Some(&cache),
+            ..RunOptions::default()
+        },
     )
     .map_err(|e| dump_flight(&tel, &flags, db_path, salvage_partial(&mut db, db_path, e)))?;
     finish_run(

@@ -6,11 +6,13 @@
 use goofi::analysis::{classify, classify_campaign, queries, stats::CampaignStats, Outcome};
 use goofi::core::algorithms::{self, CampaignResult};
 use goofi::core::campaign::{Campaign, OutputRegion, TargetSystemData, Technique, Termination};
+use goofi::core::dbio;
 use goofi::core::fault::{FaultLocation, FaultSpec};
 use goofi::core::logging::{LoggingMode, TerminationCause};
 use goofi::core::monitor::ProgressMonitor;
+use goofi::core::runner::{self, RunOptions, Targets};
 use goofi::core::trigger::Trigger;
-use goofi::core::{dbio, runner};
+use goofi::core::vfs::RealFs;
 use goofi::envsim::{DcMotor, NullEnvironment};
 use goofi::goofi_thor::ThorTarget;
 use goofi::goofidb::Database;
@@ -306,12 +308,14 @@ fn parallel_runner_matches_serial() {
     )
     .unwrap();
 
-    let parallel = runner::run_campaign_parallel(
-        ThorTarget::default,
-        None::<fn() -> Box<dyn goofi::envsim::Environment>>,
+    let parallel = runner::execute(
         &campaign,
         &ProgressMonitor::new(16),
-        4,
+        Targets::factory(ThorTarget::default),
+        RunOptions {
+            workers: 4,
+            ..RunOptions::default()
+        },
     )
     .unwrap();
 
@@ -335,13 +339,15 @@ fn journaled_campaign_resumes_to_identical_results() {
     let _ = std::fs::remove_file(&path);
 
     let mut journal = ExperimentJournal::create(&path, &campaign.name).unwrap();
-    let full = runner::run_campaign_parallel_journaled(
-        ThorTarget::default,
-        None::<fn() -> Box<dyn goofi::envsim::Environment>>,
+    let full = runner::execute(
         &campaign,
         &ProgressMonitor::new(8),
-        3,
-        Some(&mut journal),
+        Targets::factory(ThorTarget::default),
+        RunOptions {
+            workers: 3,
+            journal: Some(&mut journal),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     drop(journal);
@@ -353,13 +359,18 @@ fn journaled_campaign_resumes_to_identical_results() {
     std::fs::write(&path, keep).unwrap();
 
     let monitor = ProgressMonitor::new(8);
-    let resumed = runner::resume_campaign(
-        ThorTarget::default,
-        None::<fn() -> Box<dyn goofi::envsim::Environment>>,
+    let (mut journal_file, state) =
+        ExperimentJournal::reopen_with(&RealFs, &path, &campaign.name).unwrap();
+    let resumed = runner::execute(
         &campaign,
         &monitor,
-        3,
-        &path,
+        Targets::factory(ThorTarget::default),
+        RunOptions {
+            workers: 3,
+            journal: Some(&mut journal_file),
+            resume: Some(state),
+            ..RunOptions::default()
+        },
     )
     .unwrap();
     assert_eq!(resumed, full, "resume must reproduce the uninterrupted run");

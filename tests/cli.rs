@@ -390,3 +390,53 @@ fn db_file_is_portable_across_invocations() {
     assert!(out.contains("p2"), "{out}");
     let _ = PathBuf::from(&db);
 }
+
+/// The counter lines `--metrics` prints, by name.
+fn counter(out: &str, name: &str) -> Option<u64> {
+    out.lines().find_map(|line| {
+        let mut fields = line.split_whitespace();
+        (fields.next() == Some(name)).then(|| fields.next()?.parse().ok())?
+    })
+}
+
+/// `goofi run` keeps a golden cache beside the journal for any worker
+/// count: a second threaded run with the same journal path reuses the
+/// reference the first one stored.
+#[test]
+fn threaded_run_reuses_the_golden_cache() {
+    let (guard, db) = tmp_db("golden-threads");
+    let again = guard.path.join("again.gdb").to_string_lossy().into_owned();
+    let journal = guard.path.join("c.gjl").to_string_lossy().into_owned();
+    stdout(&goofi(&[
+        "new",
+        &db,
+        "--name",
+        "g1",
+        "--workload",
+        "crc32",
+        "--experiments",
+        "6",
+        "--seed",
+        "3",
+    ]));
+    std::fs::copy(&db, &again).unwrap();
+    let run = |db: &str| {
+        stdout(&goofi(&[
+            "run",
+            db,
+            "--name",
+            "g1",
+            "--workers",
+            "2",
+            "--journal",
+            &journal,
+            "--metrics",
+        ]))
+    };
+    let first = run(&db);
+    assert_eq!(counter(&first, "golden-cache-misses"), Some(1), "{first}");
+    assert_eq!(counter(&first, "golden-cache-hits"), None, "{first}");
+    let second = run(&again);
+    assert_eq!(counter(&second, "golden-cache-hits"), Some(1), "{second}");
+    assert_eq!(counter(&second, "golden-cache-misses"), None, "{second}");
+}

@@ -6,6 +6,7 @@ use goofi::core::campaign::{Campaign, OutputRegion, TargetSystemData, Terminatio
 use goofi::core::logging::ExperimentRecord;
 use goofi::core::monitor::ProgressMonitor;
 use goofi::core::preinject;
+use goofi::core::runner::{self, RunOptions, Targets};
 use goofi::core::{dbio, GoofiError};
 use goofi::envsim::NullEnvironment;
 use goofi::goofi_thor::ThorTarget;
@@ -167,26 +168,29 @@ fn duplicate_campaign_name_is_rejected() {
 #[test]
 fn parallel_runner_surfaces_worker_errors_and_validates_workers() {
     use goofi::core::framework::NullTarget;
-    use goofi::core::runner;
     let campaign = random_campaign(41, 4, "primes");
     // An unported target fails on the very first building block.
-    let err = runner::run_campaign_parallel(
-        NullTarget::new,
-        None::<fn() -> Box<dyn goofi::envsim::Environment>>,
+    let err = runner::execute(
         &campaign,
         &ProgressMonitor::new(4),
-        2,
+        Targets::factory(NullTarget::new),
+        RunOptions {
+            workers: 2,
+            ..RunOptions::default()
+        },
     )
     .unwrap_err();
     assert!(matches!(err, GoofiError::Unimplemented("init_test_card")));
 
     // Zero workers is a configuration error.
-    let err = runner::run_campaign_parallel(
-        ThorTarget::default,
-        None::<fn() -> Box<dyn goofi::envsim::Environment>>,
+    let err = runner::execute(
         &campaign,
         &ProgressMonitor::new(4),
-        0,
+        Targets::factory(ThorTarget::default),
+        RunOptions {
+            workers: 0,
+            ..RunOptions::default()
+        },
     )
     .unwrap_err();
     assert!(matches!(err, GoofiError::Config(_)));
@@ -194,12 +198,14 @@ fn parallel_runner_surfaces_worker_errors_and_validates_workers() {
     // A pre-stopped monitor aborts the parallel run too.
     let monitor = ProgressMonitor::new(4);
     monitor.stop();
-    let err = runner::run_campaign_parallel(
-        ThorTarget::default,
-        None::<fn() -> Box<dyn goofi::envsim::Environment>>,
+    let err = runner::execute(
         &campaign,
         &monitor,
-        2,
+        Targets::factory(ThorTarget::default),
+        RunOptions {
+            workers: 2,
+            ..RunOptions::default()
+        },
     )
     .unwrap_err();
     assert!(matches!(err, GoofiError::Stopped));

@@ -25,13 +25,15 @@ use goofi::core::campaign::{
 };
 use goofi::core::conformance::{run_suite, ConformanceSpec, ReadoutFallback, CHECK_NAMES};
 use goofi::core::fault::{FaultLocation, FaultSpec};
+use goofi::core::journal::ExperimentJournal;
 use goofi::core::link::{UnreliableTarget, VerifiedTarget};
 use goofi::core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi::core::monitor::ProgressMonitor;
 use goofi::core::policy::{ExperimentPolicy, WatchdogBudget};
-use goofi::core::runner;
+use goofi::core::runner::{self, RunOptions, Targets};
 use goofi::core::supervisor::WedgeableTarget;
 use goofi::core::trigger::Trigger;
+use goofi::core::vfs::RealFs;
 use goofi::core::TargetAccess;
 use goofi::envsim::NullEnvironment;
 use goofi::scanchain::{BitVec, ChainLayout, LinkFaultConfig, RecoveryDepth, WedgeConfig};
@@ -312,13 +314,15 @@ fn truncated_journal_resumes_to_the_uninterrupted_result_on_either_cpu() {
         let mut journal =
             goofi::core::journal::ExperimentJournal::create(&path, &campaign.name).unwrap();
         let make_target = move || kind.build();
-        let full = runner::run_campaign_parallel_journaled(
-            make_target,
-            None::<fn() -> Box<dyn goofi::envsim::Environment>>,
+        let full = runner::execute(
             &campaign,
             &ProgressMonitor::new(8),
-            3,
-            Some(&mut journal),
+            Targets::factory(make_target),
+            RunOptions {
+                workers: 3,
+                journal: Some(&mut journal),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
         drop(journal);
@@ -330,13 +334,18 @@ fn truncated_journal_resumes_to_the_uninterrupted_result_on_either_cpu() {
         std::fs::write(&path, keep).unwrap();
 
         let monitor = ProgressMonitor::new(8);
-        let resumed = runner::resume_campaign(
-            make_target,
-            None::<fn() -> Box<dyn goofi::envsim::Environment>>,
+        let (mut journal_file, state) =
+            ExperimentJournal::reopen_with(&RealFs, &path, &campaign.name).unwrap();
+        let resumed = runner::execute(
             &campaign,
             &monitor,
-            3,
-            &path,
+            Targets::factory(make_target),
+            RunOptions {
+                workers: 3,
+                journal: Some(&mut journal_file),
+                resume: Some(state),
+                ..RunOptions::default()
+            },
         )
         .unwrap();
         assert_eq!(
