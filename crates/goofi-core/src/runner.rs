@@ -364,17 +364,21 @@ fn run<T: TargetAccess + ?Sized>(
         }
     };
 
-    // Fan-in. Worker interleaving makes the raw push order
-    // nondeterministic; sort everything for stable results and reports,
-    // and so the end-of-run check marks suspects in campaign-index order.
-    let mut completed: Vec<(usize, ExperimentRecord)> = Vec::new();
+    // Fan-in by campaign index. Worker interleaving makes the raw push
+    // order nondeterministic; sort everything for stable results and
+    // reports.
+    let mut records = preloaded;
+    let mut fresh: Vec<usize> = Vec::new();
     let mut failures: Vec<ExperimentFailure> = Vec::new();
     let mut quarantined: Vec<ExperimentRecord> = Vec::new();
     let mut recoveries: Vec<RecoveryRecord> = Vec::new();
     let mut abort: Option<(usize, Abort)> = None;
     let mut offline: Vec<String> = Vec::new();
     for report in reports {
-        completed.extend(report.completed);
+        for (index, record) in report.completed {
+            fresh.push(index);
+            records.insert(index, record);
+        }
         failures.extend(report.failures);
         quarantined.extend(report.quarantined);
         recoveries.extend(report.recoveries);
@@ -385,18 +389,23 @@ fn run<T: TargetAccess + ?Sized>(
             }
         }
     }
-    completed.sort_by_key(|(index, _)| *index);
     recoveries.sort_by(|a, b| a.experiment.cmp(&b.experiment));
     quarantined.sort_by(|a, b| a.name.cmp(&b.name));
 
     // The end-of-run golden check of a threaded run. Records preloaded
     // from a resumed journal were validated by the run that produced them.
     if let (Targets::Factory { target, env }, Some(_)) = (&targets, revalidate_every) {
-        if abort.is_none() && !monitor.is_stopped() && !completed.is_empty() {
+        if abort.is_none() && !monitor.is_stopped() && !fresh.is_empty() {
+            fresh.sort_unstable();
+            let mut suspects: Vec<(usize, &mut ExperimentRecord)> = records
+                .iter_mut()
+                .filter(|(index, _)| fresh.binary_search(index).is_ok())
+                .map(|(index, record)| (*index, record))
+                .collect();
             if let Some(failure) = shared.revalidate(
                 &mut *target(),
                 env().as_mut(),
-                &mut completed,
+                &mut suspects,
                 &mut failures,
                 &mut quarantined,
             )? {
@@ -406,9 +415,7 @@ fn run<T: TargetAccess + ?Sized>(
     }
 
     failures.sort_by_key(|f| f.index);
-    let incomplete = completed.len() + failures.len() < items.len();
-    let mut records = preloaded;
-    records.extend(completed);
+    let incomplete = fresh.len() + failures.len() < items.len();
     let partial = CampaignResult {
         reference,
         records: records.into_values().collect(),
@@ -601,13 +608,13 @@ impl Shared<'_> {
                         quarantined,
                         ..
                     } = &mut report;
-                    let checked = self.revalidate(
-                        target,
-                        env,
-                        &mut completed[window_start..],
-                        failures,
-                        quarantined,
-                    );
+                    let mut suspects: Vec<(usize, &mut ExperimentRecord)> = completed
+                        [window_start..]
+                        .iter_mut()
+                        .map(|(index, record)| (*index, record))
+                        .collect();
+                    let checked =
+                        self.revalidate(target, env, &mut suspects, failures, quarantined);
                     window_start = report.completed.len();
                     let slot = claimed.unwrap_or(self.items.len());
                     match checked {
@@ -806,7 +813,7 @@ impl Shared<'_> {
         &self,
         target: &mut T,
         env: &mut dyn Environment,
-        suspects: &mut [(usize, ExperimentRecord)],
+        suspects: &mut [(usize, &mut ExperimentRecord)],
         failures: &mut Vec<ExperimentFailure>,
         quarantined: &mut Vec<ExperimentRecord>,
     ) -> Result<Option<ExperimentFailure>> {
@@ -854,7 +861,7 @@ impl Shared<'_> {
             )? {
                 Ok(rerun) => {
                     self.journal(|j| j.append_record(Some(*index), &rerun))?;
-                    quarantined.push(std::mem::replace(record, rerun));
+                    quarantined.push(std::mem::replace(*record, rerun));
                 }
                 Err(failure) => {
                     self.journal(|j| j.append_failure(&failure))?;
