@@ -50,6 +50,15 @@ impl CellDef {
     }
 }
 
+/// A cell of a [`ChainLayout`] resolved to its position, see
+/// [`ChainLayout::slot`]. Only meaningful for the layout it came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellSlot {
+    index: usize,
+    offset: usize,
+    width: usize,
+}
+
 /// The static description of a scan chain: an ordered list of cells.
 ///
 /// Layouts are immutable once built; construct them with
@@ -134,10 +143,38 @@ impl ChainLayout {
     /// chain.
     pub fn read_cell(&self, bits: &BitVec, name: &str) -> Result<u64, ScanError> {
         self.check_len(bits)?;
-        let cell = self
-            .cell(name)
-            .ok_or_else(|| ScanError::UnknownCell(name.to_string()))?;
-        Ok(bits.read_range(cell.offset, cell.width))
+        self.read_slot(bits, self.named_slot(name)?)
+    }
+
+    /// Resolves a named cell to its [`CellSlot`], for capture and update
+    /// code that runs on every scan access and should not look cells up
+    /// by name each time.
+    pub fn slot(&self, name: &str) -> Option<CellSlot> {
+        self.inner.by_name.get(name).map(|&index| {
+            let cell = &self.inner.cells[index];
+            CellSlot {
+                index,
+                offset: cell.offset,
+                width: cell.width,
+            }
+        })
+    }
+
+    fn named_slot(&self, name: &str) -> Result<CellSlot, ScanError> {
+        self.slot(name)
+            .ok_or_else(|| ScanError::UnknownCell(name.to_string()))
+    }
+
+    /// [`ChainLayout::read_cell`] for a cell resolved with
+    /// [`ChainLayout::slot`] on this layout.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScanError::LengthMismatch`] if `bits` is not a full
+    /// capture of this chain.
+    pub fn read_slot(&self, bits: &BitVec, slot: CellSlot) -> Result<u64, ScanError> {
+        self.check_len(bits)?;
+        Ok(bits.read_range(slot.offset, slot.width))
     }
 
     /// Writes a value into a named cell of a bit vector destined for update.
@@ -155,17 +192,31 @@ impl ChainLayout {
     /// [`ScanError::LengthMismatch`] for a wrong-size vector.
     pub fn write_cell(&self, bits: &mut BitVec, name: &str, value: u64) -> Result<(), ScanError> {
         self.check_len(bits)?;
-        let cell = self
-            .cell(name)
-            .ok_or_else(|| ScanError::UnknownCell(name.to_string()))?;
-        if cell.width < 64 && value >= (1u64 << cell.width) {
+        self.write_slot(bits, self.named_slot(name)?, value)
+    }
+
+    /// [`ChainLayout::write_cell`] for a cell resolved with
+    /// [`ChainLayout::slot`] on this layout.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScanError::ValueTooWide`] when the value does not fit and
+    /// [`ScanError::LengthMismatch`] for a wrong-size vector.
+    pub fn write_slot(
+        &self,
+        bits: &mut BitVec,
+        slot: CellSlot,
+        value: u64,
+    ) -> Result<(), ScanError> {
+        self.check_len(bits)?;
+        if slot.width < 64 && value >= (1u64 << slot.width) {
             return Err(ScanError::ValueTooWide {
-                cell: name.to_string(),
-                width: cell.width,
+                cell: self.inner.cells[slot.index].name.clone(),
+                width: slot.width,
                 value,
             });
         }
-        bits.write_range(cell.offset, cell.width, value);
+        bits.write_range(slot.offset, slot.width, value);
         Ok(())
     }
 

@@ -12,7 +12,8 @@
 //! [`DebugEvent`]s. The unit's configuration registers are exposed as a scan
 //! chain so the test card programs it exactly the way the paper describes.
 
-use crate::{BitVec, CellAccess, ChainLayout};
+use crate::{BitVec, CellAccess, CellSlot, ChainLayout};
+use std::sync::OnceLock;
 
 /// A condition the debug unit can be armed with.
 ///
@@ -232,17 +233,7 @@ impl DebugUnit {
     ///
     /// Four condition slots (kind + operand each) plus read-only status.
     pub fn chain_layout() -> ChainLayout {
-        let mut b = ChainLayout::builder("debug");
-        for i in 0..DEBUG_SLOTS {
-            b = b
-                .cell(format!("COND{i}.KIND"), 4, CellAccess::ReadWrite)
-                .cell(format!("COND{i}.OPERAND"), 64, CellAccess::ReadWrite);
-        }
-        b.cell("HIT", 1, CellAccess::ReadOnly)
-            .cell("HIT_SLOT", 4, CellAccess::ReadOnly)
-            .cell("ICOUNT", 64, CellAccess::ReadOnly)
-            .cell("CCOUNT", 64, CellAccess::ReadOnly)
-            .build()
+        DebugChain::get().layout.clone()
     }
 
     /// Captures the unit's registers into a scan image.
@@ -253,21 +244,21 @@ impl DebugUnit {
     /// the layout this unit builds itself, but kept fallible so callers in
     /// scan transport paths never have to panic.
     pub fn capture(&self) -> Result<BitVec, crate::ScanError> {
-        let layout = Self::chain_layout();
+        let DebugChain { layout, slots } = DebugChain::get();
         let mut bits = BitVec::zeros(layout.total_bits());
         for (i, c) in self.conditions.iter().enumerate() {
             let (kind, operand) = encode_condition(*c);
-            layout.write_cell(&mut bits, &format!("COND{i}.KIND"), kind as u64)?;
-            layout.write_cell(&mut bits, &format!("COND{i}.OPERAND"), operand)?;
+            layout.write_slot(&mut bits, slots.kind[i], kind as u64)?;
+            layout.write_slot(&mut bits, slots.operand[i], operand)?;
         }
         let hit_slot = self
             .pending
             .and_then(|ev| self.conditions.iter().position(|&c| c == ev.condition))
             .unwrap_or(0);
-        layout.write_cell(&mut bits, "HIT", self.pending.is_some() as u64)?;
-        layout.write_cell(&mut bits, "HIT_SLOT", hit_slot as u64)?;
-        layout.write_cell(&mut bits, "ICOUNT", self.instructions)?;
-        layout.write_cell(&mut bits, "CCOUNT", self.cycles)?;
+        layout.write_slot(&mut bits, slots.hit, self.pending.is_some() as u64)?;
+        layout.write_slot(&mut bits, slots.hit_slot, hit_slot as u64)?;
+        layout.write_slot(&mut bits, slots.icount, self.instructions)?;
+        layout.write_slot(&mut bits, slots.ccount, self.cycles)?;
         Ok(bits)
     }
 
@@ -278,17 +269,62 @@ impl DebugUnit {
     /// Returns [`crate::ScanError::LengthMismatch`] (via cell access) when
     /// `bits` is not a full debug-chain image.
     pub fn update(&mut self, bits: &BitVec) -> Result<(), crate::ScanError> {
-        let layout = Self::chain_layout();
+        let DebugChain { layout, slots } = DebugChain::get();
         let mut decoded = Vec::new();
         for i in 0..DEBUG_SLOTS {
-            let kind = layout.read_cell(bits, &format!("COND{i}.KIND"))? as u8;
-            let operand = layout.read_cell(bits, &format!("COND{i}.OPERAND"))?;
+            let kind = layout.read_slot(bits, slots.kind[i])? as u8;
+            let operand = layout.read_slot(bits, slots.operand[i])?;
             if let Some(c) = decode_condition(kind, operand) {
                 decoded.push(c);
             }
         }
         self.conditions = decoded;
         Ok(())
+    }
+}
+
+/// The debug chain's layout, built once, with its cells resolved.
+struct DebugChain {
+    layout: ChainLayout,
+    slots: DebugSlots,
+}
+
+struct DebugSlots {
+    kind: [CellSlot; DEBUG_SLOTS],
+    operand: [CellSlot; DEBUG_SLOTS],
+    hit: CellSlot,
+    hit_slot: CellSlot,
+    icount: CellSlot,
+    ccount: CellSlot,
+}
+
+impl DebugChain {
+    fn get() -> &'static DebugChain {
+        static CHAIN: OnceLock<DebugChain> = OnceLock::new();
+        CHAIN.get_or_init(|| {
+            let mut b = ChainLayout::builder("debug");
+            for i in 0..DEBUG_SLOTS {
+                b = b
+                    .cell(format!("COND{i}.KIND"), 4, CellAccess::ReadWrite)
+                    .cell(format!("COND{i}.OPERAND"), 64, CellAccess::ReadWrite);
+            }
+            let layout = b
+                .cell("HIT", 1, CellAccess::ReadOnly)
+                .cell("HIT_SLOT", 4, CellAccess::ReadOnly)
+                .cell("ICOUNT", 64, CellAccess::ReadOnly)
+                .cell("CCOUNT", 64, CellAccess::ReadOnly)
+                .build();
+            let slot = |name: &str| layout.slot(name).expect("debug cell defined above");
+            let slots = DebugSlots {
+                kind: std::array::from_fn(|i| slot(&format!("COND{i}.KIND"))),
+                operand: std::array::from_fn(|i| slot(&format!("COND{i}.OPERAND"))),
+                hit: slot("HIT"),
+                hit_slot: slot("HIT_SLOT"),
+                icount: slot("ICOUNT"),
+                ccount: slot("CCOUNT"),
+            };
+            DebugChain { layout, slots }
+        })
     }
 }
 

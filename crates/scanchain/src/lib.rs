@@ -41,7 +41,7 @@ mod testcard;
 mod wedge;
 
 pub use bitvec::BitVec;
-pub use chain::{CellAccess, CellDef, ChainLayout, ChainLayoutBuilder};
+pub use chain::{CellAccess, CellDef, CellSlot, ChainLayout, ChainLayoutBuilder};
 pub use debug::{BusEvent, DebugCondition, DebugEvent, DebugUnit, DEBUG_SLOTS};
 pub use error::ScanError;
 pub use link::{FaultyScanTarget, LinkFault, LinkFaultConfig, LinkFaultCounts, LinkFaultModel};

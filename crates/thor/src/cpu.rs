@@ -174,7 +174,22 @@ pub struct Cpu {
     /// later experiment (and the golden run) of a campaign.
     config_edm: EdmSet,
     scratch_log: AccessLog,
+    /// Decode cache: one `(word, decode(word))` entry per code-segment
+    /// word, `None` for an illegal word. A fetch trusts an entry only if
+    /// its word equals the one just fetched, from the I-cache line or from
+    /// memory, so neither a store, a SWIFI flip nor a scan write into the
+    /// I-cache needs to invalidate it.
+    decoded: Vec<(u32, Option<Instr>)>,
     pub(crate) chains: crate::scan::ChainSet,
+}
+
+/// Bus activity an idle debug unit is owed by the fast path of
+/// [`Cpu::run`]: counted here and settled once through
+/// [`DebugUnit::advance`].
+#[derive(Default)]
+struct Unobserved {
+    fetches: u64,
+    cycles: u64,
 }
 
 impl Cpu {
@@ -217,6 +232,7 @@ impl Cpu {
             initial_sp,
             config_edm: config.edm,
             scratch_log: AccessLog::default(),
+            decoded: Vec::new(),
             chains,
         }
     }
@@ -231,6 +247,9 @@ impl Cpu {
         self.mem.clear();
         self.mem.load_block(0, &image.words)?;
         self.mem.set_code_segment(image.code_words);
+        // The all-zero word is a `nop`, so each entry starts as a true
+        // one for it; real code words replace it on their first fetch.
+        self.decoded = vec![(0, decode(0).ok()); image.code_words as usize];
         self.entry = image.entry;
         self.reset();
         Ok(())
@@ -370,6 +389,16 @@ impl Cpu {
         self.out_ports[port]
     }
 
+    /// The instruction cache (tool-side observation).
+    pub fn icache(&self) -> &Cache {
+        &self.icache
+    }
+
+    /// The data cache (tool-side observation).
+    pub fn dcache(&self) -> &Cache {
+        &self.dcache
+    }
+
     /// Instruction-cache statistics.
     pub fn icache_stats(&self) -> crate::cache::CacheStats {
         self.icache.stats()
@@ -396,18 +425,37 @@ impl Cpu {
     }
 
     /// Runs until a stop condition, retiring at most `max_instructions`.
+    ///
+    /// Equivalent to calling [`Cpu::step`] up to `max_instructions` times.
+    /// While the debug unit is idle (no condition armed, no event latched)
+    /// nothing can observe the bus, so the steps skip reporting bus events
+    /// and settle the unit's counters once on exit.
     pub fn run(&mut self, max_instructions: u64) -> StopReason {
+        if self.debug.is_idle() {
+            self.run_steps::<false>(max_instructions)
+        } else {
+            self.run_steps::<true>(max_instructions)
+        }
+    }
+
+    fn run_steps<const DBG: bool>(&mut self, max_instructions: u64) -> StopReason {
+        let mut unobserved = Unobserved::default();
+        let mut stop = StopReason::InstrLimit;
         for _ in 0..max_instructions {
-            if let Some(stop) = self.step() {
-                return stop;
+            if let Some(s) = self.step_inner::<false, DBG>(&mut unobserved) {
+                stop = s;
+                break;
             }
         }
-        StopReason::InstrLimit
+        if !DBG {
+            self.debug.advance(unobserved.fetches, unobserved.cycles);
+        }
+        stop
     }
 
     /// Executes one instruction; `None` means execution continues.
     pub fn step(&mut self) -> Option<StopReason> {
-        self.step_inner(false)
+        self.step_inner::<false, true>(&mut Unobserved::default())
     }
 
     /// Executes one instruction and fills `log` with its architectural
@@ -415,12 +463,18 @@ impl Cpu {
     /// analysis).
     pub fn step_logged(&mut self, log: &mut AccessLog) -> Option<StopReason> {
         self.scratch_log.clear();
-        let r = self.step_inner(true);
+        let r = self.step_inner::<true, true>(&mut Unobserved::default());
         std::mem::swap(log, &mut self.scratch_log);
         r
     }
 
-    fn step_inner(&mut self, want_log: bool) -> Option<StopReason> {
+    /// The one step body. `LOG` fills the scratch access log; `DBG`
+    /// reports bus events to the debug unit, otherwise the fetch and the
+    /// cycles the unit would have counted go to `unobserved`.
+    fn step_inner<const LOG: bool, const DBG: bool>(
+        &mut self,
+        unobserved: &mut Unobserved,
+    ) -> Option<StopReason> {
         if self.halted {
             return Some(StopReason::Halted);
         }
@@ -433,10 +487,14 @@ impl Cpu {
             }
         }
         // Breakpoint check on fetch, before the instruction executes.
-        if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
-            return Some(StopReason::DebugEvent(ev));
+        if DBG {
+            if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
+                return Some(StopReason::DebugEvent(ev));
+            }
+        } else {
+            unobserved.fetches += 1;
         }
-        if want_log {
+        if LOG {
             self.scratch_log.pc = self.pc;
         }
 
@@ -470,35 +528,55 @@ impl Cpu {
         self.ir = word;
         self.mar = self.pc;
 
-        // Decode.
-        let instr = match decode(word) {
-            Ok(i) => i,
-            Err(_) => {
+        // Decode and execute.
+        let (stop, charge) = match self.decode_cached(self.pc, word) {
+            Some(instr) => self.execute::<LOG, DBG>(instr),
+            None => {
                 if self.edm.illegal_opcode {
                     return Some(self.detect(Detection::IllegalOpcode));
                 }
                 // Detection disabled: the word executes as a NOP.
                 self.pc = self.pc.wrapping_add(1);
-                self.instret += 1;
                 self.cycles += 1;
-                self.debug.on_cycles(1);
-                return self.post_instruction_stop();
+                (None, 1)
             }
         };
-
-        // Execute.
-        let stop = self.execute(instr, want_log);
+        if DBG {
+            // Paths that charge no cycles (overflow, divide-by-zero,
+            // assertions) must not give a cycle-count condition a chance
+            // to fire.
+            if charge != 0 {
+                self.debug.on_cycles(charge);
+            }
+        } else {
+            unobserved.cycles += charge;
+        }
         self.instret += 1;
         if stop.is_some() {
             return stop;
         }
-        self.post_instruction_stop()
+        // Surface any debug event latched by a data-access/branch/call/
+        // cycle trigger during execution.
+        if DBG {
+            self.debug.pending().map(StopReason::DebugEvent)
+        } else {
+            None
+        }
     }
 
-    /// After an instruction completes, surface any debug event latched by a
-    /// data-access/branch/call/cycle trigger during execution.
-    fn post_instruction_stop(&mut self) -> Option<StopReason> {
-        self.debug.pending().map(StopReason::DebugEvent)
+    /// Decodes the word at `addr`, just fetched as `word`, through the
+    /// decode cache. `None` means the word is illegal.
+    fn decode_cached(&mut self, addr: u32, word: u32) -> Option<Instr> {
+        match self.decoded.get_mut(addr as usize) {
+            Some(entry) if entry.0 == word => entry.1,
+            Some(entry) => {
+                *entry = (word, decode(word).ok());
+                entry.1
+            }
+            // Outside the code segment the image was loaded with (a wild
+            // fetch with control-flow checking off).
+            None => decode(word).ok(),
+        }
     }
 
     fn detect(&mut self, d: Detection) -> StopReason {
@@ -531,24 +609,27 @@ impl Cpu {
         }
     }
 
-    fn log_reg_read(&mut self, want_log: bool, r: Reg) -> u32 {
-        if want_log {
+    fn log_reg_read<const LOG: bool>(&mut self, r: Reg) -> u32 {
+        if LOG {
             self.scratch_log.reg_reads.push(r);
         }
         self.regs[r.index()]
     }
 
-    fn log_reg_write(&mut self, want_log: bool, r: Reg, v: u32) {
-        if want_log {
+    fn log_reg_write<const LOG: bool>(&mut self, r: Reg, v: u32) {
+        if LOG {
             self.scratch_log.reg_writes.push(r);
         }
         self.regs[r.index()] = v;
     }
 
     /// Data read through the D-cache. Returns `Err(stop)` on detection.
-    fn data_read(&mut self, addr: u32, want_log: bool) -> Result<u32, StopReason> {
+    fn data_read<const LOG: bool, const DBG: bool>(
+        &mut self,
+        addr: u32,
+    ) -> Result<u32, StopReason> {
         self.mar = addr;
-        if want_log {
+        if LOG {
             self.scratch_log.mem_reads.push(addr);
         }
         let value = match self.dcache.lookup(addr) {
@@ -576,23 +657,31 @@ impl Cpu {
             Lookup::ParityError => return Err(self.detect(Detection::ParityD)),
         };
         self.mdr = value;
-        self.debug.observe(BusEvent::DataRead { addr });
+        if DBG {
+            self.debug.observe(BusEvent::DataRead { addr });
+        }
         Ok(value)
     }
 
     /// Data write, write-through with allocate. Returns `Err(stop)` on
     /// detection.
-    fn data_write(&mut self, addr: u32, value: u32, want_log: bool) -> Result<(), StopReason> {
+    fn data_write<const LOG: bool, const DBG: bool>(
+        &mut self,
+        addr: u32,
+        value: u32,
+    ) -> Result<(), StopReason> {
         self.mar = addr;
         self.mdr = value;
-        if want_log {
+        if LOG {
             self.scratch_log.mem_writes.push(addr);
         }
         match self.mem.write(addr, value) {
             Ok(()) => {
                 self.dcache.fill(addr, value);
                 self.cycles += 2;
-                self.debug.observe(BusEvent::DataWrite { addr });
+                if DBG {
+                    self.debug.observe(BusEvent::DataWrite { addr });
+                }
                 Ok(())
             }
             Err(_) => {
@@ -609,23 +698,33 @@ impl Cpu {
 
     /// Transfers control to `target` (branch/call/return). Returns
     /// `Err(stop)` when control-flow checking rejects the target.
-    fn jump(&mut self, target: u32, is_call: bool) -> Result<(), StopReason> {
+    fn jump<const DBG: bool>(&mut self, target: u32, is_call: bool) -> Result<(), StopReason> {
         if self.edm.control_flow && target >= self.mem.code_segment() {
             return Err(self.detect(Detection::ControlFlow));
         }
         self.pc = target;
         self.cycles += 1;
-        let ev = if is_call {
-            BusEvent::Call { target }
-        } else {
-            BusEvent::Branch { target }
-        };
-        self.debug.observe(ev);
+        if DBG {
+            let ev = if is_call {
+                BusEvent::Call { target }
+            } else {
+                BusEvent::Branch { target }
+            };
+            self.debug.observe(ev);
+        }
         Ok(())
     }
 
+    /// Executes one decoded instruction. Returns the stop it caused, if
+    /// any, and the cycles to charge to the debug unit. Those are the
+    /// instruction's cost, also added to [`Cpu::cycles`], except that a
+    /// rejected jump or data access charges only the unit and overflow,
+    /// divide-by-zero and `trap` charge nothing.
     #[allow(clippy::too_many_lines)]
-    fn execute(&mut self, instr: Instr, want_log: bool) -> Option<StopReason> {
+    fn execute<const LOG: bool, const DBG: bool>(
+        &mut self,
+        instr: Instr,
+    ) -> (Option<StopReason>, u64) {
         use Opcode::*;
         let next_pc = self.pc.wrapping_add(1);
         let mut pc_set = false;
@@ -635,36 +734,32 @@ impl Cpu {
             ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(stop) => {
-                        self.debug.on_cycles(cost);
-                        return Some(stop);
-                    }
+                    Err(stop) => return (Some(stop), cost),
                 }
             };
         }
 
         match instr {
             Instr::R { op, rd, rs1, rs2 } => {
-                let a = self.log_reg_read(want_log, rs1);
-                let b = self.log_reg_read(want_log, rs2);
+                let a = self.log_reg_read::<LOG>(rs1);
+                let b = self.log_reg_read::<LOG>(rs2);
                 match op {
                     Nop => {}
                     Halt => {
                         self.halted = true;
                         self.cycles += cost;
-                        self.debug.on_cycles(cost);
-                        return Some(StopReason::Halted);
+                        return (Some(StopReason::Halted), cost);
                     }
                     Add => {
                         let (r, c) = a.overflowing_add(b);
                         if self.edm.overflow && (a as i32).checked_add(b as i32).is_none() {
-                            return Some(self.detect(Detection::Overflow));
+                            return (Some(self.detect(Detection::Overflow)), 0);
                         }
                         self.set_arith_flags(a, b, r, c);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     Sub | Cmp => {
                         let (r, borrow) = a.overflowing_sub(b);
@@ -672,39 +767,39 @@ impl Cpu {
                             && self.edm.overflow
                             && (a as i32).checked_sub(b as i32).is_none()
                         {
-                            return Some(self.detect(Detection::Overflow));
+                            return (Some(self.detect(Detection::Overflow)), 0);
                         }
                         self.set_arith_flags(a, !b, r, !borrow);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
                         if op == Sub {
-                            self.log_reg_write(want_log, rd, r);
+                            self.log_reg_write::<LOG>(rd, r);
                         }
                     }
                     Mul => {
                         cost += 3;
                         if self.edm.overflow && (a as i32).checked_mul(b as i32).is_none() {
-                            return Some(self.detect(Detection::Overflow));
+                            return (Some(self.detect(Detection::Overflow)), 0);
                         }
                         let r = a.wrapping_mul(b);
                         self.set_zn(r);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     Div => {
                         cost += 10;
                         if b == 0 {
-                            return Some(self.detect(Detection::DivideByZero));
+                            return (Some(self.detect(Detection::DivideByZero)), 0);
                         }
                         let r = ((a as i32).wrapping_div(b as i32)) as u32;
                         self.set_zn(r);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     And | Or | Xor | Shl | Shr | Asr => {
                         let r = match op {
@@ -717,46 +812,46 @@ impl Cpu {
                             _ => unreachable!(),
                         };
                         self.set_zn(r);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     Mov => {
-                        self.log_reg_write(want_log, rd, a);
+                        self.log_reg_write::<LOG>(rd, a);
                     }
                     Ldx => {
                         let addr = a.wrapping_add(b);
-                        let v = stop_on!(self.data_read(addr, want_log));
-                        self.log_reg_write(want_log, rd, v);
+                        let v = stop_on!(self.data_read::<LOG, DBG>(addr));
+                        self.log_reg_write::<LOG>(rd, v);
                         cost += 1;
                     }
                     Stx => {
                         let addr = a.wrapping_add(b);
-                        let v = self.log_reg_read(want_log, rd);
-                        stop_on!(self.data_write(addr, v, want_log));
+                        let v = self.log_reg_read::<LOG>(rd);
+                        stop_on!(self.data_write::<LOG, DBG>(addr, v));
                         cost += 1;
                     }
                     Push => {
-                        let sp = self.log_reg_read(want_log, Reg::SP).wrapping_sub(1);
-                        self.log_reg_write(want_log, Reg::SP, sp);
-                        stop_on!(self.data_write(sp, a, want_log));
+                        let sp = self.log_reg_read::<LOG>(Reg::SP).wrapping_sub(1);
+                        self.log_reg_write::<LOG>(Reg::SP, sp);
+                        stop_on!(self.data_write::<LOG, DBG>(sp, a));
                         cost += 1;
                     }
                     Pop => {
-                        let sp = self.log_reg_read(want_log, Reg::SP);
-                        let v = stop_on!(self.data_read(sp, want_log));
-                        self.log_reg_write(want_log, rd, v);
-                        self.log_reg_write(want_log, Reg::SP, sp.wrapping_add(1));
+                        let sp = self.log_reg_read::<LOG>(Reg::SP);
+                        let v = stop_on!(self.data_read::<LOG, DBG>(sp));
+                        self.log_reg_write::<LOG>(rd, v);
+                        self.log_reg_write::<LOG>(Reg::SP, sp.wrapping_add(1));
                         cost += 1;
                     }
                     Ret => {
-                        let target = self.log_reg_read(want_log, Reg::LR);
-                        stop_on!(self.jump(target, false));
+                        let target = self.log_reg_read::<LOG>(Reg::LR);
+                        stop_on!(self.jump::<DBG>(target, false));
                         pc_set = true;
                     }
                     Jr => {
-                        stop_on!(self.jump(a, false));
+                        stop_on!(self.jump::<DBG>(a, false));
                         pc_set = true;
                     }
                     _ => unreachable!("imm opcode in R form"),
@@ -767,16 +862,16 @@ impl Cpu {
                 let zimm = imm as u16 as u32;
                 match op {
                     Addi | Subi | Muli | Cmpi => {
-                        let a = self.log_reg_read(want_log, rs1);
+                        let a = self.log_reg_read::<LOG>(rs1);
                         match op {
                             Addi => {
                                 let (r, c) = a.overflowing_add(simm);
                                 if self.edm.overflow && (a as i32).checked_add(imm as i32).is_none()
                                 {
-                                    return Some(self.detect(Detection::Overflow));
+                                    return (Some(self.detect(Detection::Overflow)), 0);
                                 }
                                 self.set_arith_flags(a, simm, r, c);
-                                self.log_reg_write(want_log, rd, r);
+                                self.log_reg_write::<LOG>(rd, r);
                             }
                             Subi | Cmpi => {
                                 let (r, borrow) = a.overflowing_sub(simm);
@@ -784,31 +879,31 @@ impl Cpu {
                                     && self.edm.overflow
                                     && (a as i32).checked_sub(imm as i32).is_none()
                                 {
-                                    return Some(self.detect(Detection::Overflow));
+                                    return (Some(self.detect(Detection::Overflow)), 0);
                                 }
                                 self.set_arith_flags(a, !simm, r, !borrow);
                                 if op == Subi {
-                                    self.log_reg_write(want_log, rd, r);
+                                    self.log_reg_write::<LOG>(rd, r);
                                 }
                             }
                             Muli => {
                                 cost += 3;
                                 if self.edm.overflow && (a as i32).checked_mul(imm as i32).is_none()
                                 {
-                                    return Some(self.detect(Detection::Overflow));
+                                    return (Some(self.detect(Detection::Overflow)), 0);
                                 }
                                 let r = a.wrapping_mul(simm);
                                 self.set_zn(r);
-                                self.log_reg_write(want_log, rd, r);
+                                self.log_reg_write::<LOG>(rd, r);
                             }
                             _ => unreachable!(),
                         }
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
                     }
                     Andi | Ori | Xori | Shli | Shri => {
-                        let a = self.log_reg_read(want_log, rs1);
+                        let a = self.log_reg_read::<LOG>(rs1);
                         let r = match op {
                             Andi => a & zimm,
                             Ori => a | zimm,
@@ -818,29 +913,29 @@ impl Cpu {
                             _ => unreachable!(),
                         };
                         self.set_zn(r);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     Ldi => {
-                        self.log_reg_write(want_log, rd, simm);
+                        self.log_reg_write::<LOG>(rd, simm);
                     }
                     Lui => {
-                        self.log_reg_write(want_log, rd, zimm << 16);
+                        self.log_reg_write::<LOG>(rd, zimm << 16);
                     }
                     Ld => {
-                        let base = self.log_reg_read(want_log, rs1);
+                        let base = self.log_reg_read::<LOG>(rs1);
                         let addr = base.wrapping_add(simm);
-                        let v = stop_on!(self.data_read(addr, want_log));
-                        self.log_reg_write(want_log, rd, v);
+                        let v = stop_on!(self.data_read::<LOG, DBG>(addr));
+                        self.log_reg_write::<LOG>(rd, v);
                         cost += 1;
                     }
                     St => {
-                        let base = self.log_reg_read(want_log, rs1);
+                        let base = self.log_reg_read::<LOG>(rs1);
                         let addr = base.wrapping_add(simm);
-                        let v = self.log_reg_read(want_log, rd);
-                        stop_on!(self.data_write(addr, v, want_log));
+                        let v = self.log_reg_read::<LOG>(rd);
+                        stop_on!(self.data_write::<LOG, DBG>(addr, v));
                         cost += 1;
                     }
                     Br | Beq | Bne | Blt | Bge | Bgt | Ble => {
@@ -857,40 +952,40 @@ impl Cpu {
                             Ble => z || n != v,
                             _ => unreachable!(),
                         };
-                        if want_log && op != Br {
+                        if LOG && op != Br {
                             self.scratch_log.flags_read = true;
                         }
                         if taken {
                             let target = self.pc.wrapping_add(simm);
-                            stop_on!(self.jump(target, false));
+                            stop_on!(self.jump::<DBG>(target, false));
                             pc_set = true;
                         }
                     }
                     Call => {
-                        self.log_reg_write(want_log, Reg::LR, next_pc);
-                        stop_on!(self.jump(zimm, true));
+                        self.log_reg_write::<LOG>(Reg::LR, next_pc);
+                        stop_on!(self.jump::<DBG>(zimm, true));
                         pc_set = true;
                     }
                     In => {
                         let v = self.in_ports[(zimm as usize) % PORT_COUNT];
-                        self.log_reg_write(want_log, rd, v);
+                        self.log_reg_write::<LOG>(rd, v);
                     }
                     Out => {
-                        let v = self.log_reg_read(want_log, rs1);
+                        let v = self.log_reg_read::<LOG>(rs1);
                         self.out_ports[(zimm as usize) % PORT_COUNT] = v;
                     }
                     Sync => {
                         self.iterations += 1;
                         self.pc = next_pc;
                         self.cycles += cost;
-                        self.debug.on_cycles(cost);
-                        return Some(StopReason::Sync {
+                        let stop = StopReason::Sync {
                             tag: imm as u16,
                             iteration: self.iterations,
-                        });
+                        };
+                        return (Some(stop), cost);
                     }
                     Trap => {
-                        return Some(self.detect(Detection::Assertion(imm as u16)));
+                        return (Some(self.detect(Detection::Assertion(imm as u16))), 0);
                     }
                     _ => unreachable!("register opcode in I form"),
                 }
@@ -901,8 +996,7 @@ impl Cpu {
             self.pc = next_pc;
         }
         self.cycles += cost;
-        self.debug.on_cycles(cost);
-        None
+        (None, cost)
     }
 }
 
@@ -910,6 +1004,7 @@ impl Cpu {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::isa::encode;
 
     fn run_asm(src: &str) -> (Cpu, StopReason) {
         let image = assemble(src).expect("assembly");
@@ -1262,5 +1357,247 @@ mod tests {
         let (cpu2, _) = run_asm(src);
         assert_eq!(cpu1.state_vector(), cpu2.state_vector());
         assert_eq!(cpu1.cycles(), cpu2.cycles());
+    }
+
+    /// Steps until a stop, the way `run` would report it.
+    fn step_until_stop(cpu: &mut Cpu, max: u64) -> StopReason {
+        (0..max)
+            .find_map(|_| cpu.step())
+            .unwrap_or(StopReason::InstrLimit)
+    }
+
+    #[test]
+    fn counters_are_exact_on_every_exit() {
+        let mut nop_illegal = EdmSet::all_on();
+        nop_illegal.illegal_opcode = false;
+        // (program, EDMs, stop, instret, cycles, debug instructions,
+        // debug cycles). Every fetch here misses the I-cache (4 cycles),
+        // and only an instruction's own cost reaches the debug unit.
+        let cases = [
+            (
+                "ldi r1, 1\nhalt",
+                EdmSet::all_on(),
+                StopReason::Halted,
+                2,
+                10,
+                2,
+                2,
+            ),
+            // A rejected store charges its cost to the debug unit only.
+            (
+                "ldi r1, 1\nst r0, r1, 0",
+                EdmSet::all_on(),
+                StopReason::Detected(Detection::AccessViolation),
+                2,
+                9,
+                2,
+                2,
+            ),
+            // Overflow, divide-by-zero and `trap` retire but charge
+            // nothing past the fetch.
+            (
+                "lui r1, 0x7FFF\nori r1, r1, 0xFFFF\naddi r1, r1, 1",
+                EdmSet::all_on(),
+                StopReason::Detected(Detection::Overflow),
+                3,
+                14,
+                3,
+                2,
+            ),
+            (
+                "ldi r2, 0\ndiv r3, r1, r2",
+                EdmSet::all_on(),
+                StopReason::Detected(Detection::DivideByZero),
+                2,
+                9,
+                2,
+                1,
+            ),
+            (
+                "ldi r1, 1\ntrap 9",
+                EdmSet::all_on(),
+                StopReason::Detected(Detection::Assertion(9)),
+                2,
+                9,
+                2,
+                1,
+            ),
+            // A fetch fault is observed as a fetch, then charges nothing.
+            (
+                "ldi r1, 1",
+                EdmSet::all_on(),
+                StopReason::Detected(Detection::ControlFlow),
+                1,
+                5,
+                2,
+                1,
+            ),
+            // With its detection off, an illegal word is a one-cycle NOP.
+            (
+                ".word 0xEE000000\nhalt",
+                nop_illegal,
+                StopReason::Halted,
+                2,
+                10,
+                2,
+                2,
+            ),
+        ];
+        for (src, edm, stop, instret, cycles, dbg_instr, dbg_cycles) in cases {
+            let mut stepped = Cpu::new(CpuConfig {
+                edm,
+                ..CpuConfig::default()
+            });
+            stepped.load_image(&assemble(src).unwrap()).unwrap();
+            let mut ran = stepped.clone();
+            assert_eq!(step_until_stop(&mut stepped, 100), stop, "{src}");
+            assert_eq!(ran.run(100), stop, "{src}");
+            for cpu in [&stepped, &ran] {
+                let got = (
+                    cpu.instructions(),
+                    cpu.cycles(),
+                    cpu.debug_unit().instruction_count(),
+                    cpu.debug_unit().cycle_count(),
+                );
+                assert_eq!(got, (instret, cycles, dbg_instr, dbg_cycles), "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_cost_exit_does_not_refire_a_cleared_cycle_condition() {
+        use scanchain::DebugCondition;
+        let image = assemble("ldi r1, 1\ntrap 3").unwrap();
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.load_image(&image).unwrap();
+        cpu.debug_unit_mut().arm(DebugCondition::CycleCount(1));
+        assert!(matches!(cpu.run(10), StopReason::DebugEvent(_)));
+        // Unlatched but still armed, and already satisfied: only a step
+        // that charges cycles may fire it again.
+        cpu.debug_unit_mut().clear();
+        assert_eq!(cpu.run(10), StopReason::Detected(Detection::Assertion(3)));
+        assert_eq!(cpu.debug_unit().pending(), None);
+    }
+
+    /// `ldi r5, 1; ldi r6, 2; halt`, run once to warm the decode cache,
+    /// then reset (which also empties both caches).
+    fn warm_core() -> Cpu {
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.load_image(&assemble("ldi r5, 1\nldi r6, 2\nhalt").unwrap())
+            .unwrap();
+        assert_eq!(cpu.run(100), StopReason::Halted);
+        cpu.reset();
+        cpu
+    }
+
+    #[test]
+    fn decode_cache_sees_a_flipped_code_word() {
+        let mut cpu = warm_core();
+        // The top opcode bit: `ldi` (0x29) becomes the unassigned 0xA9.
+        cpu.memory_mut().flip_bit(1, 31).unwrap();
+        assert_eq!(cpu.run(100), StopReason::Detected(Detection::IllegalOpcode));
+        assert_eq!(cpu.pc(), 1);
+        assert_eq!(cpu.reg(Reg::new(5)), 1);
+    }
+
+    #[test]
+    fn decode_cache_follows_a_restored_snapshot() {
+        let mut cpu = warm_core();
+        let snapshot = cpu.clone();
+        cpu.memory_mut().flip_bit(1, 31).unwrap();
+        assert_eq!(cpu.run(100), StopReason::Detected(Detection::IllegalOpcode));
+
+        let mut restored = snapshot.clone();
+        assert_eq!(restored.run(100), StopReason::Halted);
+        assert_eq!(restored.reg(Reg::new(6)), 2);
+
+        // Restoring only memory leaves the flipped decode cached.
+        *cpu.memory_mut() = snapshot.memory().clone();
+        cpu.reset();
+        assert_eq!(cpu.run(100), StopReason::Halted);
+        assert_eq!(cpu.reg(Reg::new(6)), 2);
+    }
+
+    #[test]
+    fn decode_cache_runs_code_stored_with_protection_off() {
+        let image = assemble(
+            r"
+            ld   r5, r0, patch
+            st   r0, r5, target
+        target:
+            addi r6, r6, 1
+            halt
+        .data
+        patch: .word 0
+        ",
+        )
+        .unwrap();
+        let target = image.label("target").unwrap();
+        let patch = encode(Instr::i(Opcode::Addi, Reg::new(6), Reg::new(6), 100));
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.load_image(&image).unwrap();
+        cpu.memory_mut()
+            .write_raw(image.label("patch").unwrap(), patch)
+            .unwrap();
+        // Warm the decode cache with the original word at `target`.
+        cpu.set_pc(target);
+        assert_eq!(cpu.run(100), StopReason::Halted);
+        assert_eq!(cpu.reg(Reg::new(6)), 1);
+
+        cpu.reset();
+        assert_eq!(
+            cpu.run(100),
+            StopReason::Detected(Detection::AccessViolation)
+        );
+
+        // Reset empties the I-cache, so `target` is fetched from memory.
+        cpu.reset();
+        cpu.memory_mut().set_protection(false);
+        assert_eq!(cpu.run(100), StopReason::Halted);
+        assert_eq!(cpu.reg(Reg::new(6)), 100, "the stored instruction ran");
+    }
+
+    /// A loop stopped at its second pass, every word in the I-cache and
+    /// the decode cache. Bit 1 of the cached `addi r5, r5, 1` is then
+    /// flipped through the `icache` scan chain, making it `addi r5, r5, 3`.
+    fn icache_flipped_core(parity_i: bool) -> Cpu {
+        use scanchain::TestCard;
+        let image = assemble(
+            r"
+        loop:
+            addi r5, r5, 1
+            cmpi r5, 2
+            blt  loop
+            halt
+        ",
+        )
+        .unwrap();
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.load_image(&image).unwrap();
+        for _ in 0..3 {
+            assert_eq!(cpu.step(), None);
+        }
+        assert_eq!(cpu.pc(), 0);
+        cpu.set_edm(EdmSet {
+            parity_i,
+            ..cpu.edm()
+        });
+        let mut card = TestCard::new(cpu);
+        card.init().unwrap();
+        card.flip_cell_bit(crate::scan::ICACHE, "L0.DATA", 1)
+            .unwrap();
+        card.into_target()
+    }
+
+    #[test]
+    fn decode_cache_sees_an_icache_word_flipped_by_scan() {
+        let mut cpu = icache_flipped_core(true);
+        assert_eq!(cpu.run(100), StopReason::Detected(Detection::ParityI));
+
+        // With the parity check off the corrupted line is a hit, and the
+        // word it holds, not the one in memory, is what executes.
+        let mut cpu = icache_flipped_core(false);
+        assert_eq!(cpu.run(100), StopReason::Halted);
+        assert_eq!(cpu.reg(Reg::new(5)), 4);
     }
 }

@@ -20,7 +20,7 @@
 use crate::cpu::{Cpu, PORT_COUNT};
 use crate::edm::EdmSet;
 use crate::isa::Reg;
-use scanchain::{BitVec, CellAccess, ChainLayout, DebugUnit, ScanError, ScanTarget};
+use scanchain::{BitVec, CellAccess, CellSlot, ChainLayout, DebugUnit, ScanError, ScanTarget};
 
 /// Name of the internal (register/latch) chain.
 pub const INTERNAL: &str = "internal";
@@ -41,6 +41,38 @@ pub struct ChainSet {
     dcache: ChainLayout,
     boundary: ChainLayout,
     debug: ChainLayout,
+    internal_slots: InternalSlots,
+    boundary_slots: BoundarySlots,
+}
+
+/// The `internal` chain's cells, resolved once from its layout.
+#[derive(Debug, Clone, Copy)]
+struct InternalSlots {
+    pc: CellSlot,
+    flags: CellSlot,
+    ir: CellSlot,
+    mar: CellSlot,
+    mdr: CellSlot,
+    regs: [CellSlot; Reg::COUNT],
+    psw: CellSlot,
+    detect: CellSlot,
+    iter: CellSlot,
+    halted: CellSlot,
+}
+
+/// The `boundary` chain's cells, resolved once from its layout.
+#[derive(Debug, Clone, Copy)]
+struct BoundarySlots {
+    in_ports: [CellSlot; PORT_COUNT],
+    out_ports: [CellSlot; PORT_COUNT],
+    error_pin: CellSlot,
+    halt_pin: CellSlot,
+}
+
+fn slot(layout: &ChainLayout, name: &str) -> CellSlot {
+    layout
+        .slot(name)
+        .unwrap_or_else(|| panic!("{} chain has no cell {name}", layout.name()))
 }
 
 impl ChainSet {
@@ -75,12 +107,32 @@ impl ChainSet {
                 .cell("HALT_PIN", 1, CellAccess::ReadOnly)
                 .build()
         };
+        let internal_slots = InternalSlots {
+            pc: slot(&internal, "PC"),
+            flags: slot(&internal, "FLAGS"),
+            ir: slot(&internal, "IR"),
+            mar: slot(&internal, "MAR"),
+            mdr: slot(&internal, "MDR"),
+            regs: std::array::from_fn(|i| slot(&internal, &format!("R{i}"))),
+            psw: slot(&internal, "PSW"),
+            detect: slot(&internal, "DETECT"),
+            iter: slot(&internal, "ITER"),
+            halted: slot(&internal, "HALTED"),
+        };
+        let boundary_slots = BoundarySlots {
+            in_ports: std::array::from_fn(|i| slot(&boundary, &format!("IN_PORT{i}"))),
+            out_ports: std::array::from_fn(|i| slot(&boundary, &format!("OUT_PORT{i}"))),
+            error_pin: slot(&boundary, "ERROR_PIN"),
+            halt_pin: slot(&boundary, "HALT_PIN"),
+        };
         ChainSet {
             internal,
             icache: cache_layout(ICACHE, icache_lines, icache_tag_bits),
             dcache: cache_layout(DCACHE, dcache_lines, dcache_tag_bits),
             boundary,
             debug: DebugUnit::chain_layout(),
+            internal_slots,
+            boundary_slots,
         }
     }
 
@@ -121,42 +173,35 @@ impl Cpu {
     }
 
     fn capture_internal(&self) -> Result<BitVec, ScanError> {
-        let l = &self.chains.internal;
+        let (l, s) = (&self.chains.internal, &self.chains.internal_slots);
         let mut bits = BitVec::zeros(l.total_bits());
-        l.write_cell(&mut bits, "PC", self.pc as u64)?;
-        l.write_cell(&mut bits, "FLAGS", self.flags as u64)?;
-        l.write_cell(&mut bits, "IR", self.ir as u64)?;
-        l.write_cell(&mut bits, "MAR", self.mar as u64)?;
-        l.write_cell(&mut bits, "MDR", self.mdr as u64)?;
-        for r in Reg::all() {
-            l.write_cell(
-                &mut bits,
-                &format!("R{}", r.index()),
-                self.regs[r.index()] as u64,
-            )?;
+        l.write_slot(&mut bits, s.pc, self.pc as u64)?;
+        l.write_slot(&mut bits, s.flags, self.flags as u64)?;
+        l.write_slot(&mut bits, s.ir, self.ir as u64)?;
+        l.write_slot(&mut bits, s.mar, self.mar as u64)?;
+        l.write_slot(&mut bits, s.mdr, self.mdr as u64)?;
+        for (&slot, &value) in s.regs.iter().zip(&self.regs) {
+            l.write_slot(&mut bits, slot, value as u64)?;
         }
-        l.write_cell(&mut bits, "PSW", self.edm.to_bits() as u64)?;
-        l.write_cell(
-            &mut bits,
-            "DETECT",
-            self.detection.map_or(0, |d| d.encode()) as u64,
-        )?;
-        l.write_cell(&mut bits, "ITER", self.iterations & 0xFFFF_FFFF)?;
-        l.write_cell(&mut bits, "HALTED", self.halted as u64)?;
+        l.write_slot(&mut bits, s.psw, self.edm.to_bits() as u64)?;
+        let detect = self.detection.map_or(0, |d| d.encode());
+        l.write_slot(&mut bits, s.detect, detect as u64)?;
+        l.write_slot(&mut bits, s.iter, self.iterations & 0xFFFF_FFFF)?;
+        l.write_slot(&mut bits, s.halted, self.halted as u64)?;
         Ok(bits)
     }
 
     fn update_internal(&mut self, bits: &BitVec) -> Result<(), ScanError> {
-        let l = self.chains.internal.clone();
-        self.pc = l.read_cell(bits, "PC")? as u32;
-        self.flags = l.read_cell(bits, "FLAGS")? as u8;
-        self.ir = l.read_cell(bits, "IR")? as u32;
-        self.mar = l.read_cell(bits, "MAR")? as u32;
-        self.mdr = l.read_cell(bits, "MDR")? as u32;
-        for i in 0..Reg::COUNT {
-            self.regs[i] = l.read_cell(bits, &format!("R{i}"))? as u32;
+        let (l, s) = (&self.chains.internal, &self.chains.internal_slots);
+        self.pc = l.read_slot(bits, s.pc)? as u32;
+        self.flags = l.read_slot(bits, s.flags)? as u8;
+        self.ir = l.read_slot(bits, s.ir)? as u32;
+        self.mar = l.read_slot(bits, s.mar)? as u32;
+        self.mdr = l.read_slot(bits, s.mdr)? as u32;
+        for (reg, &slot) in self.regs.iter_mut().zip(&s.regs) {
+            *reg = l.read_slot(bits, slot)? as u32;
         }
-        let edm = EdmSet::from_bits(l.read_cell(bits, "PSW")? as u8);
+        let edm = EdmSet::from_bits(l.read_slot(bits, s.psw)? as u8);
         self.set_edm(edm);
         // DETECT / ITER / HALTED are read-only: ignored on update.
         Ok(())
@@ -201,21 +246,21 @@ impl Cpu {
     }
 
     fn capture_boundary(&self) -> Result<BitVec, ScanError> {
-        let l = &self.chains.boundary;
+        let (l, s) = (&self.chains.boundary, &self.chains.boundary_slots);
         let mut bits = BitVec::zeros(l.total_bits());
         for i in 0..PORT_COUNT {
-            l.write_cell(&mut bits, &format!("IN_PORT{i}"), self.in_ports[i] as u64)?;
-            l.write_cell(&mut bits, &format!("OUT_PORT{i}"), self.out_ports[i] as u64)?;
+            l.write_slot(&mut bits, s.in_ports[i], self.in_ports[i] as u64)?;
+            l.write_slot(&mut bits, s.out_ports[i], self.out_ports[i] as u64)?;
         }
-        l.write_cell(&mut bits, "ERROR_PIN", self.detection.is_some() as u64)?;
-        l.write_cell(&mut bits, "HALT_PIN", self.halted as u64)?;
+        l.write_slot(&mut bits, s.error_pin, self.detection.is_some() as u64)?;
+        l.write_slot(&mut bits, s.halt_pin, self.halted as u64)?;
         Ok(bits)
     }
 
     fn update_boundary(&mut self, bits: &BitVec) -> Result<(), ScanError> {
-        let l = self.chains.boundary.clone();
-        for i in 0..PORT_COUNT {
-            self.in_ports[i] = l.read_cell(bits, &format!("IN_PORT{i}"))? as u32;
+        let (l, s) = (&self.chains.boundary, &self.chains.boundary_slots);
+        for (port, &slot) in self.in_ports.iter_mut().zip(&s.in_ports) {
+            *port = l.read_slot(bits, slot)? as u32;
         }
         Ok(())
     }

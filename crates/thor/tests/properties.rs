@@ -1,8 +1,15 @@
 //! Property-based tests for the CPU substrate.
+//!
+//! The last two properties pin down that `run(n)`, which skips the idle
+//! debug unit and decodes through a cache, is observably the same as `n`
+//! calls of `step()`.
 
 use proptest::prelude::*;
-use scanchain::{ScanTarget, TestCard};
-use thor::{asm, decode, encode, Cpu, CpuConfig, Instr, Opcode, Reg, StopReason};
+use scanchain::{BitVec, DebugCondition, DebugEvent, ScanTarget, TestCard};
+use thor::{
+    asm, decode, encode, CacheStats, ChainSet, Cpu, CpuConfig, Detection, EdmSet, Instr, Opcode,
+    Reg, StateVector, StopReason,
+};
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (0u8..16).prop_map(Reg::new)
@@ -204,4 +211,267 @@ fn workloads_list() -> Vec<(Vec<u32>, String)> {
         .iter()
         .map(|s| (asm::assemble(s).unwrap().words, s.to_string()))
         .collect()
+}
+
+/// Everything a tool can observe of a core after a run.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// pc, registers, flags, latches, ports, iterations, detection.
+    state: StateVector,
+    instret: u64,
+    cycles: u64,
+    detection: Option<Detection>,
+    halted: bool,
+    edm: EdmSet,
+    debug_instructions: u64,
+    debug_cycles: u64,
+    debug_pending: Option<DebugEvent>,
+    icache: CacheStats,
+    dcache: CacheStats,
+    chains: Vec<BitVec>,
+    memory: thor::Memory,
+}
+
+fn observe(cpu: &Cpu) -> Observed {
+    Observed {
+        state: cpu.state_vector(),
+        instret: cpu.instructions(),
+        cycles: cpu.cycles(),
+        detection: cpu.detection(),
+        halted: cpu.is_halted(),
+        edm: cpu.edm(),
+        debug_instructions: cpu.debug_unit().instruction_count(),
+        debug_cycles: cpu.debug_unit().cycle_count(),
+        debug_pending: cpu.debug_unit().pending(),
+        icache: cpu.icache_stats(),
+        dcache: cpu.dcache_stats(),
+        chains: ChainSet::names()
+            .iter()
+            .map(|chain| cpu.capture_chain(chain).unwrap())
+            .collect(),
+        memory: cpu.memory().clone(),
+    }
+}
+
+/// `n` calls of `step()`, stopping at the first stop reason, reported the
+/// way `run(n)` reports it.
+fn step_n(cpu: &mut Cpu, n: u64) -> StopReason {
+    for _ in 0..n {
+        if let Some(stop) = cpu.step() {
+            return stop;
+        }
+    }
+    StopReason::InstrLimit
+}
+
+/// One pre-runtime setup: a program, bit flips, protection, EDMs and a
+/// breakpoint.
+#[derive(Debug)]
+struct Setup {
+    image: asm::Image,
+    watchdog: Option<u64>,
+    flips: Vec<(u32, u8)>,
+    protect_code: bool,
+    edm: EdmSet,
+    breakpoint: Option<DebugCondition>,
+}
+
+impl Setup {
+    fn core(&self) -> Cpu {
+        let mut cpu = Cpu::new(CpuConfig {
+            watchdog_cycles: self.watchdog,
+            edm: self.edm,
+            ..CpuConfig::default()
+        });
+        cpu.load_image(&self.image).unwrap();
+        for &(addr, bit) in &self.flips {
+            cpu.memory_mut().flip_bit(addr, bit).unwrap();
+        }
+        cpu.memory_mut().set_protection(self.protect_code);
+        if let Some(condition) = self.breakpoint {
+            cpu.debug_unit_mut().arm(condition);
+        }
+        cpu
+    }
+}
+
+/// Runs the setup for up to `rounds` rounds of `budget` instructions,
+/// once through `run` and once through `step`, comparing everything
+/// observable after every round. Between rounds the tool does what a
+/// campaign does after a breakpoint: unlatch the event and disarm, so
+/// later rounds take the fast path.
+fn assert_run_matches_steps(setup: &Setup, budget: u64, rounds: usize) {
+    let mut fast = setup.core();
+    let mut slow = setup.core();
+    for round in 0..rounds {
+        let fast_stop = fast.run(budget);
+        let slow_stop = step_n(&mut slow, budget);
+        assert_eq!(
+            fast_stop, slow_stop,
+            "stop reason, round {round}: {setup:?}"
+        );
+        assert_eq!(observe(&fast), observe(&slow), "round {round}: {setup:?}");
+        match fast_stop {
+            StopReason::DebugEvent(_) => {
+                for cpu in [&mut fast, &mut slow] {
+                    cpu.debug_unit_mut().disarm_all();
+                }
+            }
+            StopReason::Sync { .. } | StopReason::InstrLimit => {}
+            _ => return,
+        }
+    }
+}
+
+/// Random programs: at most `PROGRAM_CODE` code words, then
+/// `PROGRAM_DATA` data words.
+const PROGRAM_CODE: u32 = 48;
+const PROGRAM_DATA: u32 = 16;
+
+fn pick<T: std::fmt::Debug + Clone>(items: Vec<T>) -> impl Strategy<Value = T> {
+    (0..items.len()).prop_map(move |i| items[i].clone())
+}
+
+/// Instructions that keep a random program alive long enough to loop,
+/// touch data and reach the ports and `sync`.
+fn arb_live_instr() -> impl Strategy<Value = Instr> {
+    use Opcode::*;
+    prop_oneof![
+        arb_instr(),
+        (1u8..16, arb_reg(), -64i16..64).prop_map(|(rd, rs1, imm)| Instr::i(
+            Addi,
+            Reg::new(rd),
+            rs1,
+            imm
+        )),
+        (
+            pick(vec![Add, Sub, Mul, And, Or, Xor, Shl, Shr, Asr, Cmp, Mov]),
+            1u8..16,
+            arb_reg(),
+            arb_reg()
+        )
+            .prop_map(|(op, rd, rs1, rs2)| Instr::r(op, Reg::new(rd), rs1, rs2)),
+        (arb_reg(), -8i16..8).prop_map(|(rs1, imm)| Instr::i(Cmpi, Reg::new(0), rs1, imm)),
+        (1u8..16, 0..PROGRAM_DATA).prop_map(|(rd, word)| Instr::i(
+            Ld,
+            Reg::new(rd),
+            Reg::new(0),
+            (PROGRAM_CODE + word) as i16
+        )),
+        // Stores may land in code: an access violation with protection
+        // on, self-modifying code with it off.
+        (arb_reg(), 0..PROGRAM_CODE + PROGRAM_DATA).prop_map(|(rs, word)| Instr::i(
+            St,
+            rs,
+            Reg::new(0),
+            word as i16
+        )),
+        (pick(vec![Br, Beq, Bne, Blt, Bge, Bgt, Ble]), -6i16..6).prop_map(|(op, words)| Instr::i(
+            op,
+            Reg::new(0),
+            Reg::new(0),
+            words
+        )),
+        (0..PROGRAM_CODE).prop_map(|word| Instr::i(Call, Reg::new(0), Reg::new(0), word as i16)),
+        (arb_reg(), arb_reg()).prop_map(|(rd, rs1)| Instr::r(Push, rd, rs1, Reg::new(0))),
+        arb_reg().prop_map(|rd| Instr::r(Pop, rd, Reg::new(0), Reg::new(0))),
+        // Mostly syncs and port I/O, sometimes a return, halt or trap.
+        (
+            pick(vec![In, Out, Sync, Sync, Ret, Halt, Trap]),
+            arb_reg(),
+            0i16..4
+        )
+            .prop_map(|(op, r, imm)| if Instr::uses_imm(op) {
+                Instr::i(op, r, r, imm)
+            } else {
+                Instr::r(op, r, r, r)
+            }),
+    ]
+}
+
+fn arb_program() -> impl Strategy<Value = asm::Image> {
+    (
+        proptest::collection::vec(arb_live_instr(), 4..PROGRAM_CODE as usize),
+        proptest::collection::vec(any::<u32>(), PROGRAM_DATA as usize),
+    )
+        .prop_map(|(instrs, data)| {
+            let mut words: Vec<u32> = instrs.into_iter().map(encode).collect();
+            let code_words = words.len() as u32;
+            // Zero padding (`nop`) up to the data block: with control-flow
+            // checking on, a fall-through past the code segment is an
+            // error; with it off, the padding runs.
+            words.resize(PROGRAM_CODE as usize, 0);
+            words.extend(data);
+            asm::Image {
+                words,
+                code_words,
+                entry: 0,
+                labels: Default::default(),
+            }
+        })
+}
+
+fn arb_breakpoint() -> impl Strategy<Value = Option<DebugCondition>> {
+    proptest::option::of(prop_oneof![
+        (0u32..64).prop_map(DebugCondition::PcEquals),
+        (0u64..400).prop_map(DebugCondition::InstructionCount),
+        (0u32..128).prop_map(DebugCondition::DataAccess),
+        (0u32..128).prop_map(DebugCondition::DataWrite),
+        Just(DebugCondition::BranchExecuted),
+        Just(DebugCondition::CallExecuted),
+        (0u64..2400).prop_map(DebugCondition::CycleCount),
+    ])
+}
+
+/// All EDMs on half the time, otherwise each one on or off at random.
+fn arb_edm() -> impl Strategy<Value = EdmSet> {
+    prop_oneof![
+        Just(EdmSet::all_on()),
+        any::<u8>().prop_map(EdmSet::from_bits),
+    ]
+}
+
+fn arb_setup(image: impl Strategy<Value = asm::Image>) -> impl Strategy<Value = Setup> {
+    (
+        image,
+        proptest::option::of(50u64..10_000),
+        // Word indices are reduced modulo the image size: code and data.
+        proptest::collection::vec((any::<u32>(), 0u8..32), 0..4),
+        any::<bool>(),
+        arb_edm(),
+        arb_breakpoint(),
+    )
+        .prop_map(|(image, watchdog, flips, protect_code, edm, breakpoint)| {
+            let words = image.words.len() as u32;
+            Setup {
+                flips: flips.into_iter().map(|(w, bit)| (w % words, bit)).collect(),
+                image,
+                watchdog,
+                protect_code,
+                edm,
+                breakpoint,
+            }
+        })
+}
+
+fn arb_workload_image() -> impl Strategy<Value = asm::Image> {
+    pick(workloads::all().into_iter().map(|w| w.image).collect())
+}
+
+proptest! {
+    #[test]
+    fn run_matches_stepping_on_random_programs(
+        setup in arb_setup(arb_program()),
+        budget in 1u64..300,
+    ) {
+        assert_run_matches_steps(&setup, budget, 4);
+    }
+
+    #[test]
+    fn run_matches_stepping_on_flipped_workloads(
+        setup in arb_setup(arb_workload_image()),
+        budget in 1u64..4000,
+    ) {
+        assert_run_matches_steps(&setup, budget, 3);
+    }
 }
